@@ -7,7 +7,6 @@ noise, and checks that the three measures land on the unit sphere
 (V^2 + D^2 + C^2 = 1 for pure states).
 """
 
-from ._kernels import BACKEND_ENV, active_backend, available_backends
 from .interferometer import (
     ArmUnitary,
     FringeFit,

@@ -1,25 +1,21 @@
 """Hot inner loop of the likelihood-maximizing reconstruction.
 
-The iteration sandwiches the state between reweighting operators built from
-observed frequencies (R rho R, renormalized), falling back to a diluted step
-(I + eps R) rho (I + eps R) whenever the full step would lower the
-likelihood; only improving steps are ever accepted.
+The iteration is the diluted R rho R fixed point (Rehacek, Hradil, Knill &
+Lvovsky, PRA 75, 042108, 2007): it sandwiches the state between reweighting
+operators built from observed frequencies (R rho R, renormalized), falling
+back to a diluted step (I + eps R) rho (I + eps R) whenever the full step
+would lower the likelihood; only improving steps are ever accepted.
 
-Two interchangeable implementations live here: an explicit-loop version
-compiled with numba, and a vectorized pure-numpy version.  Selection is by
-the ``PHOTON_DUALITY_BACKEND`` environment variable ("auto", "numba" or
-"numpy"; default "auto" = numba when importable).  The variable is read at
-call time, so tests and benchmarks can flip backends freely.  Both paths
-implement the identical update rule; results agree to float-roundoff.
+The (K, n, n) stack of Hermitian outcome projectors is read as a real
+(K, 2 n^2) matrix A over the interleaved real and imaginary parts of each
+entry.  Since P is Hermitian, Re Tr(P rho) = sum_ab Re(conj(P_ab) rho_ab),
+so the K model probabilities are one matrix-vector product ``A @ rho`` and
+the reweighting operator sum_k w_k P_k is another, ``A.T @ w``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-BACKEND_ENV = "PHOTON_DUALITY_BACKEND"
 
 # Model probabilities are floored here before dividing or taking logs.
 P_FLOOR = 1e-12
@@ -31,41 +27,33 @@ EPS_MIN = 1e-8
 # and rejecting such steps would freeze the state short of the optimum.
 _ULP_SLACK = 16.0 * 2.220446049250313e-16
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
+def _real_rows(projs: np.ndarray) -> np.ndarray:
+    """(K, n, n) complex projector stack as the real (K, 2 n^2) matrix A."""
+    projs = np.ascontiguousarray(projs, dtype=np.complex128)
+    return projs.reshape(projs.shape[0], -1).view(np.float64)
 
 
-def active_backend() -> str:
-    """Backend the next ``mle_loop`` call will use."""
-    requested = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if requested in ("", "auto"):
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError(f"{BACKEND_ENV}=numba but numba is not importable")
-        return "numba"
-    raise RuntimeError(f"{BACKEND_ENV} must be 'auto', 'numba' or 'numpy', got {requested!r}")
+def _probabilities(rows: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Model probabilities Re Tr(P_k rho), floored at ``P_FLOOR``."""
+    p = rows @ rho.reshape(-1).view(np.float64)
+    return np.maximum(p, P_FLOOR, out=p)
 
 
-def mle_loop(
-    projs: np.ndarray,
-    counts: np.ndarray,
-    freqs: np.ndarray,
-    rho0: np.ndarray,
-    max_iter: int,
-    tol: float,
-) -> tuple[np.ndarray, int, float, bool]:
-    """Run the fixed-point iteration on the active backend.
+def _log_likelihood(counts: np.ndarray, p: np.ndarray) -> float:
+    """sum_k counts_k log p_k; p is floored, so zero counts add exactly 0."""
+    return float(counts @ np.log(p))
+
+
+def log_likelihood(projs: np.ndarray, counts: np.ndarray, rho: np.ndarray) -> float:
+    """Log-likelihood of ``rho`` for ``counts``, as ``mle_loop`` computes it."""
+    rho = np.ascontiguousarray(rho, dtype=np.complex128)
+    counts = np.asarray(counts, dtype=np.float64)
+    return _log_likelihood(counts, _probabilities(_real_rows(projs), rho))
+
+
+def mle_loop(projs, counts, freqs, rho0, max_iter: int, tol: float):
+    """Run the fixed-point iteration from ``rho0``.
 
     projs:  (K, n, n) stacked Hermitian outcome projectors.
     counts: (K,) observed counts (log-likelihood weights).
@@ -73,54 +61,37 @@ def mle_loop(
     rho0:   (n, n) starting state.
     Returns (rho, iterations, log_likelihood, converged).
     """
-    args = (
-        np.ascontiguousarray(projs, dtype=np.complex128),
-        np.ascontiguousarray(counts, dtype=np.float64),
-        np.ascontiguousarray(freqs, dtype=np.float64),
-        np.ascontiguousarray(rho0, dtype=np.complex128),
-        int(max_iter),
-        float(tol),
-    )
-    if active_backend() == "numba":
-        rho, it, ll, conv = _mle_loop_numba(*args)
-    else:
-        rho, it, ll, conv = _mle_loop_numpy(*args)
-    return rho, int(it), float(ll), bool(conv)
-
-
-def _mle_loop_numpy(projs, counts, freqs, rho0, max_iter, tol):
-    eye = np.eye(rho0.shape[0], dtype=np.complex128)
-    mask = counts > 0.0
-
-    def probs(rho):
-        return np.maximum(np.einsum("kab,ba->k", projs, rho).real, P_FLOOR)
-
-    def loglik(p):
-        return float(np.sum(counts[mask] * np.log(p[mask])))
+    rows = _real_rows(projs)
+    counts = np.ascontiguousarray(counts, dtype=np.float64)
+    freqs = np.ascontiguousarray(freqs, dtype=np.float64)
+    n = rho0.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
 
     def sandwich(op, rho):
+        # (c + c^H) / Tr(c + c^H): the Hermitian part of c at unit trace.
         cand = op @ rho @ op
-        cand = 0.5 * (cand + cand.conj().T)
-        return cand / np.trace(cand).real
+        cand += cand.conj().T
+        cand /= cand.trace().real
+        return cand
 
-    rho = rho0.copy()
-    p = probs(rho)
-    ll = loglik(p)
+    rho = np.array(rho0, dtype=np.complex128)
+    p = _probabilities(rows, rho)
+    ll = _log_likelihood(counts, p)
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, int(max_iter) + 1):
         slack = _ULP_SLACK * (1.0 + abs(ll))
-        reweight = np.einsum("k,kab->ab", freqs / p, projs)
+        reweight = (rows.T @ (freqs / p)).view(np.complex128).reshape(n, n)
         cand = sandwich(reweight, rho)
-        p_cand = probs(cand)
-        ll_cand = loglik(p_cand)
+        p_cand = _probabilities(rows, cand)
+        ll_cand = _log_likelihood(counts, p_cand)
         if ll_cand < ll - slack:
             eps = 0.5
             improved = False
             while eps >= EPS_MIN:
                 cand = sandwich(eye + eps * reweight, rho)
-                p_cand = probs(cand)
-                ll_cand = loglik(p_cand)
+                p_cand = _probabilities(rows, cand)
+                ll_cand = _log_likelihood(counts, p_cand)
                 if ll_cand >= ll - slack:
                     improved = True
                     break
@@ -134,87 +105,3 @@ def _mle_loop_numpy(projs, counts, freqs, rho0, max_iter, tol):
             converged = True
             break
     return rho, iterations, ll, converged
-
-
-def _mle_loop_loops(projs, counts, freqs, rho0, max_iter, tol):
-    # Compiled by numba when importable; the same source also runs uncompiled
-    # in the backend-agreement tests.  The numpy path above is the readable
-    # reference.
-    K = projs.shape[0]
-    n = rho0.shape[0]
-    rho = rho0.copy()
-    eye = np.eye(n, dtype=np.complex128)
-    p = np.empty(K, dtype=np.float64)
-
-    def _probs(projs, rho, p):
-        K = projs.shape[0]
-        n = rho.shape[0]
-        for k in range(K):
-            acc = 0.0
-            for a in range(n):
-                for b in range(n):
-                    acc += (projs[k, a, b] * rho[b, a]).real
-            p[k] = acc if acc > P_FLOOR else P_FLOOR
-
-    def _loglik(counts, p):
-        ll = 0.0
-        for k in range(counts.shape[0]):
-            if counts[k] > 0.0:
-                ll += counts[k] * np.log(p[k])
-        return ll
-
-    def _sandwich(op, rho):
-        cand = np.dot(np.dot(op, rho), op)
-        cand = 0.5 * (cand + cand.conj().T)
-        tr = 0.0
-        for a in range(cand.shape[0]):
-            tr += cand[a, a].real
-        return cand / tr
-
-    _probs(projs, rho, p)
-    ll = _loglik(counts, p)
-    iterations = 0
-    converged = False
-    p_cand = np.empty(K, dtype=np.float64)
-    for iterations in range(1, max_iter + 1):
-        slack = _ULP_SLACK * (1.0 + abs(ll))
-        reweight = np.zeros((n, n), dtype=np.complex128)
-        for k in range(K):
-            w = freqs[k] / p[k]
-            for a in range(n):
-                for b in range(n):
-                    reweight[a, b] += w * projs[k, a, b]
-        cand = _sandwich(reweight, rho)
-        _probs(projs, cand, p_cand)
-        ll_cand = _loglik(counts, p_cand)
-        if ll_cand < ll - slack:
-            eps = 0.5
-            improved = False
-            while eps >= EPS_MIN:
-                cand = _sandwich(eye + eps * reweight, rho)
-                _probs(projs, cand, p_cand)
-                ll_cand = _loglik(counts, p_cand)
-                if ll_cand >= ll - slack:
-                    improved = True
-                    break
-                eps *= 0.5
-            if not improved:
-                converged = True
-                break
-        gain = ll_cand - ll
-        if gain < 0.0:
-            gain = 0.0
-        rho = cand
-        for k in range(K):
-            p[k] = p_cand[k]
-        ll = ll_cand
-        if gain < tol:
-            converged = True
-            break
-    return rho, iterations, ll, converged
-
-
-if _HAVE_NUMBA:
-    _mle_loop_numba = njit(cache=True)(_mle_loop_loops)
-else:  # pragma: no cover
-    _mle_loop_numba = None

@@ -134,11 +134,19 @@ def _parse_scenario(obj, index: int) -> Scenario:
 
 
 def load_scenarios(path) -> list[Scenario]:
-    """Parse and validate a scenario file (JSON array of scenario objects)."""
+    """Parse and validate a scenario file (JSON array of scenario objects).
+
+    ``NaN`` and ``Infinity``, which Python's JSON parser accepts but JSON does
+    not define, are rejected.
+    """
     path = Path(path)
     text = path.read_text()
+
+    def reject_constant(name: str):
+        raise ScenarioError(f"{path}: non-finite number {name} is not allowed")
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as err:
         raise ScenarioError(
             f"{path}: parse error at line {err.lineno}, column {err.colno}: {err.msg}"

@@ -67,7 +67,7 @@ class InternalState:
         if arr.size < 2:
             raise ValueError(f"internal state needs dimension >= 2, got {arr.size}")
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not (abs(norm - 1.0) <= NORM_ATOL):  # also rejects NaN
             raise ValueError(f"internal state norm is {norm!r}, expected 1 within {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", arr)
 
@@ -105,7 +105,7 @@ class TwoPathState:
             if not isinstance(value, InternalState):
                 object.__setattr__(self, arm, InternalState(value))
         total = abs(self.c_a) ** 2 + abs(self.c_b) ** 2
-        if abs(total - 1.0) > NORM_ATOL:
+        if not (abs(total - 1.0) <= NORM_ATOL):  # also rejects NaN and inf
             raise ValueError(
                 f"|c_a|^2 + |c_b|^2 = {total!r}, expected 1 within {NORM_ATOL}"
             )

@@ -13,8 +13,13 @@ Reconstruction routes:
   * linear inversion - Pauli-basis expansion with empirical expectations;
     exactly invertible, but shot noise can push eigenvalues below zero.
   * maximum likelihood - iterative reweighted sandwich updates starting at
-    the maximally mixed state; always physical.  The inner loop dispatches
-    to a numba or pure-numpy kernel (see ``_kernels``).
+    the maximally mixed state; always physical.  The inner loop lives in
+    ``_kernels``.
+
+All 64 outcome projectors (16 settings x 4 outcomes) form one read-only
+stack, built on first use and shared by count sampling, the likelihood of a
+linear-inversion estimate, and the MLE loop, which reads the 60 rows of the
+nontrivial settings.
 
 Counts are reproducible bit-for-bit from their seed; a record built by
 ``exact_record`` instead carries the infinite-shot limit (outcome
@@ -24,6 +29,7 @@ probabilities as fractional counts with shots = 1) for noise-free checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 import numpy as np
@@ -91,6 +97,17 @@ ALL_SETTINGS: tuple[MeasurementSetting, ...] = tuple(
 NONTRIVIAL_SETTINGS: tuple[MeasurementSetting, ...] = tuple(
     m for m in ALL_SETTINGS if not m.is_trivial
 )
+# First row of each setting's four outcomes in the projector stack.  (I, I)
+# comes first, so rows 4: are the nontrivial settings in their order.
+_STACK_ROW: dict[MeasurementSetting, int] = {m: 4 * i for i, m in enumerate(ALL_SETTINGS)}
+
+
+@cache
+def _projector_stack() -> np.ndarray:
+    """(64, 4, 4) outcome projectors of ``ALL_SETTINGS``, ordered as ``OUTCOMES``."""
+    stack = np.array([proj for m in ALL_SETTINGS for proj in m.outcome_projectors()])
+    stack.setflags(write=False)
+    return stack
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
@@ -109,9 +126,8 @@ def pauli_expectation(rho: DensityMatrix, m: MeasurementSetting) -> float:
 def outcome_probabilities(rho: DensityMatrix, m: MeasurementSetting) -> np.ndarray:
     """Exact joint-outcome distribution, ordered as ``OUTCOMES``."""
     _require_two_qubits(rho)
-    p = np.array(
-        [np.trace(rho.matrix @ proj).real for proj in m.outcome_projectors()]
-    )
+    row = _STACK_ROW[m]
+    p = np.einsum("kab,ba->k", _projector_stack()[row : row + 4], rho.matrix).real
     p = np.clip(p, 0.0, None)  # physicality tolerance can leave ~-1e-8 dust
     return p / p.sum()
 
@@ -209,29 +225,11 @@ def _collect(records) -> list[CountRecord]:
 
 
 def _measurement_arrays(ordered: list[CountRecord]):
-    """Stack per-outcome projectors, counts, and frequencies over all settings."""
-    projs, counts, freqs = [], [], []
-    for rec in ordered:
-        projs.extend(rec.setting.outcome_projectors())
-        counts.extend(rec.counts[o] for o in OUTCOMES)
-        freqs.extend(rec.frequencies())
-    return (
-        np.array(projs, dtype=np.complex128),
-        np.array(counts, dtype=np.float64),
-        np.array(freqs, dtype=np.float64),
-    )
-
-
-def _log_likelihood(rho_mat: np.ndarray, ordered: list[CountRecord]) -> float:
-    ll = 0.0
-    for rec in ordered:
-        p = np.array(
-            [np.trace(rho_mat @ proj).real for proj in rec.setting.outcome_projectors()]
-        )
-        p = np.maximum(p, _kernels.P_FLOOR)
-        n = np.array([rec.counts[o] for o in OUTCOMES])
-        ll += float(np.sum(n[n > 0] * np.log(p[n > 0])))
-    return ll
+    """Per-outcome projectors (shared stack rows), counts, and frequencies of
+    the 15 nontrivial settings, in ``_collect`` order."""
+    counts = np.array([[rec.counts[o] for o in OUTCOMES] for rec in ordered], dtype=np.float64)
+    shots = np.array([rec.shots for rec in ordered], dtype=np.float64)
+    return _projector_stack()[4:], counts.reshape(-1), (counts / shots[:, None]).reshape(-1)
 
 
 def linear_inversion(records) -> TomographyResult:
@@ -245,11 +243,12 @@ def linear_inversion(records) -> TomographyResult:
     rho_mat = 0.25 * np.eye(4, dtype=np.complex128)  # <I (x) I> := 1
     for rec in ordered:
         rho_mat += 0.25 * rec.empirical_expectation() * rec.setting.operator()
+    projs, counts, _ = _measurement_arrays(ordered)
     return TomographyResult(
         rho_hat=DensityMatrix(rho_mat, check_positive=False),
         method="linear_inversion",
         iterations=0,
-        log_likelihood=_log_likelihood(rho_mat, ordered),
+        log_likelihood=_kernels.log_likelihood(projs, counts, rho_mat),
         converged=True,
     )
 

@@ -122,6 +122,15 @@ class TestErrorHandling:
         assert run_cli("compute", "--config", str(bad)) == 1
         assert "empty" in capsys.readouterr().err
 
+    def test_non_finite_amplitude(self, tmp_path, capsys):
+        entry = scenario_to_dict(default_scenarios()[0])
+        entry["c_a"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps([entry]))
+        assert run_cli("compute", "--config", str(bad)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "NaN" in captured.err
+
     def test_bad_shots_override(self, config_path, capsys):
         assert run_cli("experiment", "--config", str(config_path), "--shots", "10") == 1
         assert "--shots" in capsys.readouterr().err

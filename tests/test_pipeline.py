@@ -88,6 +88,15 @@ class TestLoadScenarios:
         with pytest.raises(ScenarioError, match=r"entry 0.*invalid state"):
             load_scenarios(path)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, tmp_path, constant):
+        entry = scenario_to_dict(make_scenario())
+        entry["c_a"] = float(constant)
+        path = write_config(tmp_path, [entry])
+        assert constant in path.read_text()
+        with pytest.raises(ScenarioError, match=f"non-finite number {constant}"):
+            load_scenarios(path)
+
     def test_duplicate_names_rejected(self, tmp_path):
         entry = scenario_to_dict(make_scenario())
         path = write_config(tmp_path, [entry, entry])

@@ -50,6 +50,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"\|c_a\|"):
             TwoPathState(1.0, 1.0, InternalState([1, 0]), InternalState([0, 1]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            InternalState([bad, 0.0])
+        with pytest.raises(ValueError, match=r"\|c_a\|"):
+            TwoPathState(bad, HALF, InternalState([1, 0]), InternalState([0, 1]))
+
     def test_two_path_state_requires_matching_dims(self):
         with pytest.raises(ValueError, match="dimensions differ"):
             TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([0, 1, 0]))
