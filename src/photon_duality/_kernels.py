@@ -1,10 +1,21 @@
 """Hot inner loop of the likelihood-maximizing reconstruction.
 
 The iteration is the diluted R rho R fixed point (Rehacek, Hradil, Knill &
-Lvovsky, PRA 75, 042108, 2007): it sandwiches the state between reweighting
-operators built from observed frequencies (R rho R, renormalized), falling
-back to a diluted step (I + eps R) rho (I + eps R) whenever the full step
-would lower the likelihood; only improving steps are ever accepted.
+Lvovsky, PRA 75, 042108, 2007), run on a factor t of the state,
+rho = t t^H / Tr(t t^H).  The reweighting operator R, built from observed
+frequencies, is Hermitian, so the full step t -> R t gives R rho R and the
+diluted step t -> (I + eps R) t gives (I + eps R) rho (I + eps R): each step
+is the same sandwich update, and rho is positive semidefinite by
+construction.  A plain step takes the full step when it does not lower the
+likelihood and falls back to a diluted one otherwise.
+
+The fixed point converges slowly toward the rank-deficient optima of nearly
+pure states, so the loop runs SQUAREM cycles (Varadhan & Roland, Scand. J.
+Stat. 35, 335, 2008): two plain steps t -> t1 -> t2, an extrapolation
+x = t - 2 a r + a^2 v with r = t1 - t, v = t2 - 2 t1 + t and
+a = min(-|r| / |v|, -1), and one full step from x, kept only when its
+likelihood is not below that of t2.  Every accepted state is therefore no
+worse than the one before it.
 
 The (K, n, n) stack of Hermitian outcome projectors is read as a real
 (K, 2 n^2) matrix A over the interleaved real and imaginary parts of each
@@ -14,6 +25,8 @@ the reweighting operator sum_k w_k P_k is another, ``A.T @ w``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,55 +66,83 @@ def log_likelihood(projs: np.ndarray, counts: np.ndarray, rho: np.ndarray) -> fl
 
 
 def mle_loop(projs, counts, freqs, rho0, max_iter: int, tol: float):
-    """Run the fixed-point iteration from ``rho0``.
+    """Run the accelerated fixed-point iteration from ``rho0``.
 
     projs:  (K, n, n) stacked Hermitian outcome projectors.
     counts: (K,) observed counts (log-likelihood weights).
     freqs:  (K,) per-setting outcome frequencies (reweighting numerators).
     rho0:   (n, n) starting state.
     Returns (rho, iterations, log_likelihood, converged).
+
+    ``iterations`` counts applications of the map t -> R t, the extrapolated
+    ones included.  A cycle needs three, so with fewer than three left in
+    the budget the loop takes plain steps only (``max_iter <= 2`` is the
+    plain iteration).  ``converged`` is set when a plain step gains less than
+    ``tol`` or no step short of ``EPS_MIN`` dilution keeps the likelihood.
     """
     rows = _real_rows(projs)
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     n = rho0.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
 
-    def sandwich(op, rho):
-        # (c + c^H) / Tr(c + c^H): the Hermitian part of c at unit trace.
-        cand = op @ rho @ op
-        cand += cand.conj().T
-        cand /= cand.trace().real
+    def unit(t):
+        return t * (1.0 / math.sqrt(np.vdot(t, t).real))
+
+    def point(t):
+        # (t, rho, p, ll) for the factor t, scaled to unit Frobenius norm.
+        t = unit(t)
+        rho = t @ t.conj().T
+        p = _probabilities(rows, rho)
+        return t, rho, p, _log_likelihood(counts, p)
+
+    def reweighted(p, t):
+        # R t, with R = sum_k (freqs_k / p_k) P_k.
+        return ((freqs / p) @ rows).view(np.complex128).reshape(n, n) @ t
+
+    def plain_step(cur):
+        # Full step if it keeps the likelihood, else the largest diluted one
+        # that does; None when no step does.
+        t, _, p, ll = cur
+        slack = _ULP_SLACK * (1.0 + abs(ll))
+        rt = reweighted(p, t)
+        cand = point(rt)
+        eps = 0.5
+        while cand[3] < ll - slack:
+            if eps < EPS_MIN:
+                return None
+            cand = point(t + eps * rt)
+            eps *= 0.5
         return cand
 
-    rho = np.array(rho0, dtype=np.complex128)
-    p = _probabilities(rows, rho)
-    ll = _log_likelihood(counts, p)
+    def extrapolated(t, t1, t2):
+        # One full step from the SQUAREM point of the plain path t -> t1 -> t2.
+        r = t1 - t
+        v = t2 - t1 - r
+        norm_v = math.sqrt(np.vdot(v, v).real)
+        alpha = min(-math.sqrt(np.vdot(r, r).real) / norm_v, -1.0) if norm_v > 0.0 else -1.0
+        x = unit(t - 2.0 * alpha * r + alpha * alpha * v)
+        return point(reweighted(_probabilities(rows, x @ x.conj().T), x))
+
+    evals, vecs = np.linalg.eigh(np.asarray(rho0, dtype=np.complex128))
+    cur = point(vecs * np.sqrt(np.clip(evals, 0.0, None)))
     iterations = 0
     converged = False
-    for iterations in range(1, int(max_iter) + 1):
-        slack = _ULP_SLACK * (1.0 + abs(ll))
-        reweight = (rows.T @ (freqs / p)).view(np.complex128).reshape(n, n)
-        cand = sandwich(reweight, rho)
-        p_cand = _probabilities(rows, cand)
-        ll_cand = _log_likelihood(counts, p_cand)
-        if ll_cand < ll - slack:
-            eps = 0.5
-            improved = False
-            while eps >= EPS_MIN:
-                cand = sandwich(eye + eps * reweight, rho)
-                p_cand = _probabilities(rows, cand)
-                ll_cand = _log_likelihood(counts, p_cand)
-                if ll_cand >= ll - slack:
-                    improved = True
-                    break
-                eps *= 0.5
-            if not improved:
+    while iterations < max_iter and not converged:
+        path = [cur]
+        for _ in range(2 if max_iter - iterations >= 3 else 1):
+            nxt = plain_step(cur)
+            iterations += 1
+            if nxt is None:
                 converged = True  # no admissible step improves: gain is below tol
                 break
-        gain = max(ll_cand - ll, 0.0)
-        rho, p, ll = cand, p_cand, ll_cand
-        if gain < tol:
-            converged = True
-            break
-    return rho, iterations, ll, converged
+            converged = max(nxt[3] - cur[3], 0.0) < tol
+            cur = nxt
+            path.append(cur)
+            if converged:
+                break
+        if len(path) == 3 and not converged:  # two plain steps: extrapolate
+            cand = extrapolated(*(state[0] for state in path))
+            iterations += 1
+            if cand[3] >= cur[3] - _ULP_SLACK * (1.0 + abs(cur[3])):
+                cur = cand
+    return cur[1], iterations, cur[3], converged

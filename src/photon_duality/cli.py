@@ -170,9 +170,20 @@ def _cmd_fringes(args, scenarios) -> None:
     _write(text, args.out)
 
 
-def _cmd_experiment(args, scenarios) -> None:
+def _run(scenarios) -> list:
+    """Run the pipeline per scenario; warn on stderr of each unconverged MLE."""
     reports = [run_pipeline(sc) for sc in scenarios]
-    emit_report(reports, fmt=args.format, out=args.out)
+    for r in reports:
+        if not r.mle_converged:
+            print(
+                f"warning: {r.name}: MLE did not converge in {r.mle_iterations} iterations",
+                file=sys.stderr,
+            )
+    return reports
+
+
+def _cmd_experiment(args, scenarios) -> None:
+    emit_report(_run(scenarios), fmt=args.format, out=args.out)
 
 
 def _cmd_sphere(args, scenarios) -> None:
@@ -181,7 +192,7 @@ def _cmd_sphere(args, scenarios) -> None:
             (sc.name, vdc_triple(sc.to_state()).as_tuple()) for sc in scenarios
         ]
     else:
-        reports = [run_pipeline(sc) for sc in scenarios]
+        reports = _run(scenarios)
         named_points = [
             (r.name, p) for r, p in zip(reports, sphere_points(reports))
         ]

@@ -32,7 +32,7 @@ from .interferometer import block_arm, fit_fringe, phase_grid, sample_fringe_sca
 from .metrics import DualityTriple, vdc_triple
 from .scenarios import Scenario
 from .seeding import derive_seed, make_rng
-from .states import PathLabel, pure_state_fidelity, to_density_matrix, wootters_concurrence
+from .states import PathLabel, pure_state_fidelity, to_density_matrix
 from .tomography import NONTRIVIAL_SETTINGS, estimate_vdc_from_rho, mle_reconstruct, sample_counts
 
 # Stage tags mixed into the scenario seed; fixed, or reproducibility breaks.
@@ -113,9 +113,8 @@ def run_pipeline(sc: Scenario) -> RunReport:
     ]
     tomo = mle_reconstruct(records)
     tomographic = estimate_vdc_from_rho(tomo.rho_hat)
-    c_est = wootters_concurrence(tomo.rho_hat)
 
-    v, d, c = fit.v_hat, d_est, c_est
+    v, d, c = fit.v_hat, d_est, tomographic.concurrence
     estimated = DualityTriple(
         visibility=v,
         distinguishability=d,

@@ -4,8 +4,8 @@ A scenario pins down one source state (path amplitudes plus the two
 polarization states), the Monte Carlo budget, and the master seed.  Scenario
 files are plain JSON: a top-level array of objects whose field names match
 ``Scenario`` exactly.  Complex numbers are written as [re, im] pairs (a bare
-number is accepted as purely real); ``phi_a``/``phi_b`` are 2-vectors of
-such pairs.
+number is accepted as purely real, JSON ``true``/``false`` are not);
+``phi_a``/``phi_b`` are 2-vectors of such pairs.
 
 The built-in default set holds seven constructed states: five balanced ones
 whose overlap magnitude steps through {0, 0.38, 0.71, 0.92, 1} (the zero-
@@ -78,14 +78,15 @@ class Scenario:
         )
 
 
+def _is_real(value) -> bool:
+    # bool is an int subclass, but JSON true/false are not amplitudes.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(_is_real(x) for x in value):
         return complex(value[0], value[1])
     raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 

@@ -12,8 +12,9 @@ marginal of the other qubit.
 Reconstruction routes:
   * linear inversion - Pauli-basis expansion with empirical expectations;
     exactly invertible, but shot noise can push eigenvalues below zero.
-  * maximum likelihood - iterative reweighted sandwich updates starting at
-    the maximally mixed state; always physical.  The inner loop lives in
+  * maximum likelihood - reweighted sandwich updates R rho R on a factor of
+    the state, accelerated by SQUAREM extrapolation, starting at the
+    maximally mixed state; always physical.  The inner loop lives in
     ``_kernels``.
 
 All 64 outcome projectors (16 settings x 4 outcomes) form one read-only
@@ -257,10 +258,13 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 1e-10) -> Tomogr
     """Maximum-likelihood reconstruction (always physical).
 
     Iterates the reweighted-sandwich fixed point from the maximally mixed
-    state, accepting only likelihood-non-decreasing steps (full step when it
-    improves, diluted otherwise).  ``converged`` reports whether the
-    likelihood gain fell below ``tol`` within ``max_iter`` iterations;
-    non-convergence is reported, never raised.
+    state on a factor t of rho = t t^H, so every iterate is positive
+    semidefinite, accepting only likelihood-non-decreasing steps (full step
+    when it improves, diluted otherwise) and extrapolating every two steps
+    (SQUAREM; see ``_kernels``).  ``iterations`` counts applications of the
+    update map, extrapolated ones included; ``max_iter`` bounds it.
+    ``converged`` reports whether the likelihood gain of a step fell below
+    ``tol`` within that budget; non-convergence is reported, never raised.
     """
     ordered = _collect(records)
     projs, counts, freqs = _measurement_arrays(ordered)

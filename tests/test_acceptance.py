@@ -179,7 +179,7 @@ def test_criterion_6_tomography_fidelity():
 
     exact_recs = [exact_record(rho, m) for m in NONTRIVIAL_SETTINGS]
     start = time.perf_counter()
-    exact_result = mle_reconstruct(exact_recs, max_iter=1_000_000, tol=0.0)
+    exact_result = mle_reconstruct(exact_recs, max_iter=30_000, tol=0.0)
     exact_time = time.perf_counter() - start
     exact_fid = pure_state_fidelity(exact_result.rho_hat, state)
 
@@ -189,10 +189,17 @@ def test_criterion_6_tomography_fidelity():
     sampled_fid = pure_state_fidelity(sampled_result.rho_hat, state)
     c_err = abs(wootters_concurrence(sampled_result.rho_hat) - entanglement(state))
 
-    # The exact-record run (1e6 fixed-point iterations) is not held to the
-    # 10 s bound: the R rho R iteration converges as O(1/t) toward this pure
-    # optimum and needs ~15 s on 2 vCPUs; a faster-converging solver is to restore it.
-    ok = exact_fid >= 1 - 1e-6 and sampled_fid >= 0.98 and c_err <= 0.05 and sampled_time < 10.0
+    # Both reconstructions are held to the 10 s bound.  Toward this pure
+    # (boundary) optimum plain R rho R ascent converges only as O(1/t) and
+    # needs ~1e6 steps for the fidelity bound; with SQUAREM extrapolation
+    # 3e4 map applications reach it in ~1 s on 2 vCPUs.
+    ok = (
+        exact_fid >= 1 - 1e-6
+        and exact_time < 10.0
+        and sampled_fid >= 0.98
+        and c_err <= 0.05
+        and sampled_time < 10.0
+    )
     check(
         6,
         "MLE reconstruction fidelity",

@@ -1,10 +1,11 @@
 """CLI surface: subcommands, flags, output formats, exit codes."""
 
+import functools
 import json
 
 import pytest
 
-from photon_duality import scenario_to_dict
+from photon_duality import pipeline, scenario_to_dict, tomography
 from photon_duality.cli import main
 from photon_duality.scenarios import default_scenarios
 
@@ -83,6 +84,34 @@ class TestExperiment:
         assert first != second
 
 
+class TestConvergenceWarning:
+    @pytest.fixture()
+    def tiny_budget(self, monkeypatch):
+        # Three iterations leave every reconstruction unconverged.
+        monkeypatch.setattr(
+            pipeline, "mle_reconstruct", functools.partial(tomography.mle_reconstruct, max_iter=3)
+        )
+
+    @pytest.mark.parametrize("command", ["experiment", "sphere"])
+    def test_one_line_per_unconverged_scenario(self, command, config_path, tiny_budget, capsys):
+        assert run_cli(command, "--config", str(config_path), "--seed", "5") == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: {name}: MLE did not converge in 3 iterations"
+            for name in ("default-arc-g1.00", "default-arc-g0.92")
+        ]
+        assert len(captured.out.strip().split("\n")) == 3
+
+    def test_json_stdout_stays_parseable(self, config_path, tiny_budget, capsys):
+        run_cli("experiment", "--config", str(config_path), "--seed", "5", "--format", "json")
+        parsed = json.loads(capsys.readouterr().out)
+        assert [r["mle_converged"] for r in parsed] == [False, False]
+
+    def test_converged_runs_stay_quiet(self, config_path, capsys):
+        assert run_cli("experiment", "--config", str(config_path), "--seed", "5") == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestSphere:
     def test_analytic_points(self, capsys):
         assert run_cli("sphere", "--defaults", "--analytic") == 0
@@ -130,6 +159,15 @@ class TestErrorHandling:
         assert run_cli("compute", "--config", str(bad)) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "NaN" in captured.err
+
+    def test_boolean_amplitude(self, tmp_path, capsys):
+        entry = scenario_to_dict(default_scenarios()[0])
+        entry.update(c_a=True, c_b=False, phi_a=[True, 0])
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps([entry]))
+        assert run_cli("compute", "--config", str(bad)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "c_a" in captured.err
 
     def test_bad_shots_override(self, config_path, capsys):
         assert run_cli("experiment", "--config", str(config_path), "--shots", "10") == 1

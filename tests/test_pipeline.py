@@ -97,6 +97,23 @@ class TestLoadScenarios:
         with pytest.raises(ScenarioError, match=f"non-finite number {constant}"):
             load_scenarios(path)
 
+    @pytest.mark.parametrize(
+        "update, field",
+        [
+            ({"c_a": True, "c_b": False}, "c_a"),
+            ({"c_a": [True, 0], "c_b": [0, False]}, "c_a"),
+            ({"phi_a": [True, 0]}, "phi_a"),
+        ],
+        ids=["bare", "pair", "vector"],
+    )
+    def test_boolean_amplitude_rejected(self, tmp_path, update, field):
+        # Read as 1 and 0, each of these would be a valid state.
+        entry = scenario_to_dict(make_scenario())
+        entry.update(update)
+        path = write_config(tmp_path, [entry])
+        with pytest.raises(ScenarioError, match=f"field '{field}'"):
+            load_scenarios(path)
+
     def test_duplicate_names_rejected(self, tmp_path):
         entry = scenario_to_dict(make_scenario())
         path = write_config(tmp_path, [entry, entry])
