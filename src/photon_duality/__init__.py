@@ -14,8 +14,6 @@ from .interferometer import (
     apply_arm_unitary,
     block_arm,
     detection_probabilities,
-    detection_probability,
-    extract_visibility,
     fit_fringe,
     fringe_scan,
     internal_rotation,
@@ -31,7 +29,7 @@ from .metrics import (
     vdc_triple,
     visibility,
 )
-from .pipeline import RunReport, emit_report, render_report, run_pipeline, sphere_points
+from .pipeline import RunReport, emit_report, render_report, run_pipeline
 from .scenarios import (
     Scenario,
     ScenarioError,

@@ -9,19 +9,19 @@ Subcommands:
 Scenarios come from --config FILE (JSON array) or --defaults (the seven
 built-in states).  --seed reseeds every scenario from one master seed,
 --shots overrides the per-scenario budget.  Output goes to --out or stdout
-as --format csv|json.  Exit codes: 0 success, 1 validation error, 2 I/O
-error.
+as --format csv|json; each command only builds its rows and records, and
+``pipeline`` renders and writes them.  Exit codes: 0 success, 1 validation
+error, 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .interferometer import fringe_scan, phase_grid, sample_fringe_scan
+from .interferometer import fringe_scan, phase_grid
 from .metrics import vdc_triple
-from .pipeline import emit_report, run_pipeline, sphere_points
+from .pipeline import emit_report, emit_table, run_pipeline, sample_fringe, triple_to_dict
 from .scenarios import (
     MIN_SHOTS,
     ScenarioError,
@@ -83,91 +83,39 @@ def _load(args) -> list:
     return scenarios
 
 
-def _write(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-
-
-def _csv_table(header, rows) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _cmd_compute(args, scenarios) -> None:
-    triples = [(sc, vdc_triple(sc.to_state())) for sc in scenarios]
-    if args.format == "csv":
-        rows = [
-            [sc.name, _fmt(t.visibility), _fmt(t.distinguishability), _fmt(t.concurrence), _fmt(t.residual)]
-            for sc, t in triples
-        ]
-        text = _csv_table(["name", "V", "D", "C", "residual"], rows)
-    else:
-        text = json.dumps(
-            [
-                {
-                    "name": sc.name,
-                    "visibility": t.visibility,
-                    "distinguishability": t.distinguishability,
-                    "concurrence": t.concurrence,
-                    "gamma": [t.gamma.real, t.gamma.imag],
-                    "residual": t.residual,
-                }
-                for sc, t in triples
-            ],
-            indent=2,
-        ) + "\n"
-    _write(text, args.out)
+    triples = [(sc.name, vdc_triple(sc.to_state())) for sc in scenarios]
+    emit_table(
+        ["name", "V", "D", "C", "residual"],
+        ([name, *t.as_tuple(), t.residual] for name, t in triples),
+        ({"name": name, **triple_to_dict(t)} for name, t in triples),
+        args.format,
+        args.out,
+    )
 
 
 def _cmd_fringes(args, scenarios) -> None:
-    from .pipeline import STAGE_FRINGE
-    from .seeding import derive_seed, make_rng
-
-    exact = args.shots == 0
-    scans = []
-    for sc in scenarios:
-        state = sc.to_state()
-        grid = phase_grid(sc.phase_points)
-        if exact:
-            scan = fringe_scan(state, grid)
-        else:
-            rng = make_rng(derive_seed(sc.seed, STAGE_FRINGE))
-            scan = sample_fringe_scan(state, sc.shots, rng, grid)
-        scans.append((sc, scan))
-    if args.format == "csv":
-        rows = [
-            [sc.name, _fmt(phi), _fmt(p)]
-            for sc, scan in scans
-            for phi, p in zip(scan.phases, scan.probabilities)
+    if args.shots == 0:
+        scans = [
+            (sc.name, fringe_scan(sc.to_state(), phase_grid(sc.phase_points))) for sc in scenarios
         ]
-        text = _csv_table(["name", "phi", "p"], rows)
     else:
-        text = json.dumps(
-            [
-                {
-                    "name": sc.name,
-                    "noisy": scan.noisy,
-                    "shots_per_point": scan.shots_per_point,
-                    "points": [[float(phi), float(p)] for phi, p in zip(scan.phases, scan.probabilities)],
-                }
-                for sc, scan in scans
-            ],
-            indent=2,
-        ) + "\n"
-    _write(text, args.out)
+        scans = [(sc.name, sample_fringe(sc)) for sc in scenarios]
+    emit_table(
+        ["name", "phi", "p"],
+        ([name, phi, p] for name, scan in scans for phi, p in zip(scan.phases, scan.probabilities)),
+        (
+            {
+                "name": name,
+                "noisy": scan.noisy,
+                "shots_per_point": scan.shots_per_point,
+                "points": [[float(phi), float(p)] for phi, p in zip(scan.phases, scan.probabilities)],
+            }
+            for name, scan in scans
+        ),
+        args.format,
+        args.out,
+    )
 
 
 def _run(scenarios) -> list:
@@ -188,23 +136,16 @@ def _cmd_experiment(args, scenarios) -> None:
 
 def _cmd_sphere(args, scenarios) -> None:
     if args.analytic:
-        named_points = [
-            (sc.name, vdc_triple(sc.to_state()).as_tuple()) for sc in scenarios
-        ]
+        points = [(sc.name, vdc_triple(sc.to_state()).as_tuple()) for sc in scenarios]
     else:
-        reports = _run(scenarios)
-        named_points = [
-            (r.name, p) for r, p in zip(reports, sphere_points(reports))
-        ]
-    if args.format == "csv":
-        rows = [[name, _fmt(x), _fmt(y), _fmt(z)] for name, (x, y, z) in named_points]
-        text = _csv_table(["name", "x", "y", "z"], rows)
-    else:
-        text = json.dumps(
-            [{"name": name, "point": list(point)} for name, point in named_points],
-            indent=2,
-        ) + "\n"
-    _write(text, args.out)
+        points = [(r.name, r.sphere_point) for r in _run(scenarios)]
+    emit_table(
+        ["name", "x", "y", "z"],
+        ([name, *point] for name, point in points),
+        ({"name": name, "point": list(point)} for name, point in points),
+        args.format,
+        args.out,
+    )
 
 
 _COMMANDS = {

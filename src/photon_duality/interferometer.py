@@ -26,14 +26,15 @@ import numpy as np
 from .states import MATRIX_ATOL, InternalState, PathLabel, TwoPathState
 
 DEFAULT_PHASE_POINTS = 64
+MIN_PHASE_POINTS = 8
 # A scan must cover at least this fraction of a full period to be fittable.
 MIN_SPAN = 2.0 * math.pi * 7.0 / 8.0
 
 
 def phase_grid(n: int = DEFAULT_PHASE_POINTS) -> np.ndarray:
     """Uniform grid of n phases on [0, 2*pi), endpoint excluded."""
-    if n < 8:
-        raise ValueError(f"need at least 8 phase points, got {n}")
+    if n < MIN_PHASE_POINTS:
+        raise ValueError(f"need at least {MIN_PHASE_POINTS} phase points, got {n}")
     return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
 
 
@@ -55,8 +56,8 @@ class FringeScan:
         probs = np.array(self.probabilities, dtype=np.float64)
         if phases.ndim != 1 or phases.shape != probs.shape:
             raise ValueError("phases and probabilities must be matching 1-D arrays")
-        if phases.size < 8:
-            raise ValueError(f"a scan needs at least 8 points, got {phases.size}")
+        if phases.size < MIN_PHASE_POINTS:
+            raise ValueError(f"a scan needs at least {MIN_PHASE_POINTS} points, got {phases.size}")
         if not np.all(np.isfinite(phases)) or not np.all(np.isfinite(probs)):
             raise ValueError("scan contains non-finite values")
         if np.any(np.diff(phases) <= 0.0):
@@ -89,13 +90,6 @@ def detection_probabilities(s: TwoPathState, phases: np.ndarray, port: int = 1) 
     amps = _port_amplitudes(s, phases, port)
     p = 0.5 * np.sum(np.abs(amps) ** 2, axis=1)
     return np.clip(p, 0.0, 1.0)
-
-
-def detection_probability(s: TwoPathState, phi: float, port: int = 1) -> float:
-    """Exact detection probability at one phase setting."""
-    if not math.isfinite(phi):
-        raise ValueError("phase must be finite")
-    return float(detection_probabilities(s, np.array([phi]), port)[0])
 
 
 def fringe_scan(s: TwoPathState, phases: np.ndarray | None = None) -> FringeScan:
@@ -164,12 +158,6 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     rmse = float(np.sqrt(np.mean(residuals**2)))
     v_hat = min(1.0, max(0.0, amplitude / a0))
     return FringeFit(v_hat=v_hat, theta0_hat=theta0, offset=a0, amplitude=amplitude, rmse=rmse)
-
-
-def extract_visibility(scan: FringeScan) -> tuple[float, float]:
-    """(v_hat, theta0_hat) of a scan; see ``fit_fringe`` for the details."""
-    fit = fit_fringe(scan)
-    return fit.v_hat, fit.theta0_hat
 
 
 def block_arm(s: TwoPathState, blocked: PathLabel) -> float:

@@ -34,10 +34,14 @@ class DualityTriple:
     distinguishability: float
     concurrence: float
     gamma: complex
-    residual: float
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.visibility, self.distinguishability, self.concurrence)
+
+    @property
+    def residual(self) -> float:
+        v, d, c = self.as_tuple()
+        return v * v + d * d + c * c - 1.0
 
 
 def _clip01(x: float) -> float:
@@ -71,13 +75,9 @@ def entanglement(s: TwoPathState) -> float:
 
 def vdc_triple(s: TwoPathState) -> DualityTriple:
     """All three measures of one state, with the identity residual."""
-    v = visibility(s)
-    d = distinguishability(s)
-    c = entanglement(s)
     return DualityTriple(
-        visibility=v,
-        distinguishability=d,
-        concurrence=c,
+        visibility=visibility(s),
+        distinguishability=distinguishability(s),
+        concurrence=entanglement(s),
         gamma=overlap(s),
-        residual=v * v + d * d + c * c - 1.0,
     )

@@ -13,9 +13,12 @@ off the reconstructed state.  Sub-seeds for the three stages (and for every
 tomography setting) are derived from the scenario seed, so scenarios and
 stages are independent, reorderable, and bit-reproducible.
 
-Reports serialize to CSV (fixed column set, 12 significant digits) or JSON
-(field names mirror ``RunReport``).  Estimated components are clamped into
-[0, 1] only when projected onto the unit sphere, never in the report itself.
+This module is also the one output path of every CLI command: a command
+hands ``emit_table`` its CSV columns, its rows and its JSON records, and
+gets CSV (floats at 12 significant digits) or JSON back on stdout or in a
+file.  Reports use the fixed ``CSV_COLUMNS``; their JSON field names mirror
+``RunReport``.  Estimated components are clamped into [0, 1] only when
+projected onto the unit sphere, never in the report itself.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import block_arm, fit_fringe, phase_grid, sample_fringe_scan
+from .interferometer import FringeScan, block_arm, fit_fringe, phase_grid, sample_fringe_scan
 from .metrics import DualityTriple, vdc_triple
 from .scenarios import Scenario
 from .seeding import derive_seed, make_rng
@@ -97,9 +100,7 @@ def run_pipeline(sc: Scenario) -> RunReport:
     rho_true = to_density_matrix(state)
 
     # Fringe scan -> visibility.
-    fringe_rng = make_rng(derive_seed(sc.seed, STAGE_FRINGE))
-    scan = sample_fringe_scan(state, sc.shots, fringe_rng, phases=phase_grid(sc.phase_points))
-    fit = fit_fringe(scan)
+    fit = fit_fringe(sample_fringe(sc))
 
     # Arm blocking -> distinguishability.  Blocking A leaves arm B's photons.
     p_b_hat = _surviving_fraction(block_arm(state, PathLabel.A), sc.shots, sc.seed, 0)
@@ -114,13 +115,11 @@ def run_pipeline(sc: Scenario) -> RunReport:
     tomo = mle_reconstruct(records)
     tomographic = estimate_vdc_from_rho(tomo.rho_hat)
 
-    v, d, c = fit.v_hat, d_est, tomographic.concurrence
     estimated = DualityTriple(
-        visibility=v,
-        distinguishability=d,
-        concurrence=c,
+        visibility=fit.v_hat,
+        distinguishability=d_est,
+        concurrence=tomographic.concurrence,
         gamma=tomographic.gamma,
-        residual=v * v + d * d + c * c - 1.0,
     )
     return RunReport(
         name=sc.name,
@@ -138,6 +137,12 @@ def run_pipeline(sc: Scenario) -> RunReport:
     )
 
 
+def sample_fringe(sc: Scenario) -> FringeScan:
+    """The scenario's seeded Monte Carlo fringe scan (``shots`` per phase point)."""
+    rng = make_rng(derive_seed(sc.seed, STAGE_FRINGE))
+    return sample_fringe_scan(sc.to_state(), sc.shots, rng, phases=phase_grid(sc.phase_points))
+
+
 def _surviving_fraction(p: float, shots: int, seed: int, arm_index: int) -> float:
     rng = make_rng(derive_seed(seed, STAGE_BLOCKING, arm_index))
     return float(rng.binomial(shots, p)) / shots
@@ -148,43 +153,23 @@ def _clamp_point(point) -> tuple[float, float, float]:
     return (x, y, z)
 
 
-def sphere_points(reports, analytic: bool = False) -> list[tuple[float, float, float]]:
-    """(V, D, C) coordinates in the first octant, one per report.
-
-    Estimated points (default) are clamped into [0, 1]; analytic points are
-    exact and sit on the unit sphere.
-    """
-    if analytic:
-        return [r.analytic.as_tuple() for r in reports]
-    return [_clamp_point(r.estimated.as_tuple()) for r in reports]
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _csv_rows(reports) -> list[list[str]]:
-    rows = [list(CSV_COLUMNS)]
-    for r in reports:
-        rows.append(
-            [
-                r.name,
-                _fmt(r.analytic.visibility),
-                _fmt(r.analytic.distinguishability),
-                _fmt(r.analytic.concurrence),
-                _fmt(r.estimated.visibility),
-                _fmt(r.estimated.distinguishability),
-                _fmt(r.estimated.concurrence),
-                _fmt(r.analytic.residual),
-                _fmt(r.estimated.residual),
-                _fmt(r.fidelity),
-                str(r.seed),
-            ]
-        )
-    return rows
+def _report_row(r: RunReport) -> list:
+    return [
+        r.name,
+        *r.analytic.as_tuple(),
+        *r.estimated.as_tuple(),
+        r.analytic.residual,
+        r.estimated.residual,
+        r.fidelity,
+        r.seed,
+    ]
 
 
-def _triple_to_dict(t: DualityTriple) -> dict:
+def triple_to_dict(t: DualityTriple) -> dict:
     return {
         "visibility": t.visibility,
         "distinguishability": t.distinguishability,
@@ -200,9 +185,9 @@ def report_to_dict(r: RunReport) -> dict:
         "seed": r.seed,
         "shots": r.shots,
         "phase_points": r.phase_points,
-        "analytic": _triple_to_dict(r.analytic),
-        "estimated": _triple_to_dict(r.estimated),
-        "tomographic": _triple_to_dict(r.tomographic),
+        "analytic": triple_to_dict(r.analytic),
+        "estimated": triple_to_dict(r.estimated),
+        "tomographic": triple_to_dict(r.tomographic),
         "sphere_point": list(r.sphere_point),
         "fit_rmse": r.fit_rmse,
         "mle_iterations": r.mle_iterations,
@@ -211,26 +196,44 @@ def report_to_dict(r: RunReport) -> dict:
     }
 
 
-def render_report(reports, fmt: str = "csv") -> str:
-    """Serialize reports to a CSV or JSON string."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("nothing to emit: no reports")
+def render_table(columns, rows, records, fmt: str) -> str:
+    """CSV of ``rows`` under ``columns`` (floats at 12 significant digits), or
+    JSON of ``records``.  Only the chosen one is read, so either may be a
+    generator."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(_csv_rows(reports))
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
         return buf.getvalue()
     if fmt == "json":
-        return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+        return json.dumps(list(records), indent=2) + "\n"
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
-def emit_report(reports, fmt: str = "csv", out=None) -> None:
-    """Write serialized reports to a path, or to stdout when ``out`` is None."""
-    text = render_report(reports, fmt)
+def _write(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", newline="") as fh:
             fh.write(text)
+
+
+def emit_table(columns, rows, records, fmt: str, out) -> None:
+    """Write ``render_table``'s text to a path, or to stdout when ``out`` is None."""
+    _write(render_table(columns, rows, records, fmt), out)
+
+
+def render_report(reports, fmt: str = "csv") -> str:
+    """Serialize reports to a CSV or JSON string."""
+    reports = list(reports)
+    if not reports:
+        raise ValueError("nothing to emit: no reports")
+    return render_table(
+        CSV_COLUMNS, map(_report_row, reports), map(report_to_dict, reports), fmt
+    )
+
+
+def emit_report(reports, fmt: str = "csv", out=None) -> None:
+    """Write serialized reports to a path, or to stdout when ``out`` is None."""
+    _write(render_report(reports, fmt), out)

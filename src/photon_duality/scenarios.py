@@ -22,14 +22,15 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .interferometer import DEFAULT_PHASE_POINTS, MIN_PHASE_POINTS
 from .seeding import check_seed, derive_seed
 from .states import InternalState, TwoPathState
 
 MIN_SHOTS = 100
-MIN_PHASE_POINTS = 8
+# numpy's binomial and multinomial samplers take counts up to int64.
+MAX_SHOTS = 2**63 - 1
 
 DEFAULT_SHOTS = 100_000
-DEFAULT_PHASE_POINTS = 64
 DEFAULT_MASTER_SEED = 1234
 
 # Overlap magnitudes of the balanced defaults, descending order = the
@@ -59,6 +60,8 @@ class Scenario:
             raise ScenarioError("name must be a non-empty string")
         if self.shots < MIN_SHOTS:
             raise ScenarioError(f"shots must be >= {MIN_SHOTS}, got {self.shots}")
+        if self.shots > MAX_SHOTS:
+            raise ScenarioError(f"shots must be <= {MAX_SHOTS}, got {self.shots}")
         if self.phase_points < MIN_PHASE_POINTS:
             raise ScenarioError(
                 f"phase_points must be >= {MIN_PHASE_POINTS}, got {self.phase_points}"

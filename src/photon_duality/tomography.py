@@ -307,5 +307,4 @@ def estimate_vdc_from_rho(rho_hat: DensityMatrix) -> DualityTriple:
         distinguishability=d,
         concurrence=c,
         gamma=gamma,
-        residual=v * v + d * d + c * c - 1.0,
     )

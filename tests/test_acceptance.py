@@ -20,7 +20,7 @@ from photon_duality import (
     default_scenarios,
     derive_seed,
     entanglement,
-    extract_visibility,
+    fit_fringe,
     fringe_scan,
     mle_reconstruct,
     pure_state_fidelity,
@@ -154,14 +154,14 @@ def test_criterion_5_fringe_fidelity():
     worst_exact = 0.0
     for _ in range(1000):
         s = random_two_path_state(rng)
-        v_hat, _ = extract_visibility(fringe_scan(s))
+        v_hat, *_ = fit_fringe(fringe_scan(s))
         worst_exact = max(worst_exact, abs(v_hat - visibility(s)))
 
     worst_noisy = 0.0
     for i, sc in enumerate(default_scenarios()):
         state = sc.to_state()
         scan = sample_fringe_scan(state, 100_000, make_rng(derive_seed(55, i)))
-        v_hat, _ = extract_visibility(scan)
+        v_hat, *_ = fit_fringe(scan)
         worst_noisy = max(worst_noisy, abs(v_hat - visibility(state)))
     check(
         5,

@@ -173,6 +173,21 @@ class TestErrorHandling:
         assert run_cli("experiment", "--config", str(config_path), "--shots", "10") == 1
         assert "--shots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_shots_beyond_int64(self, source, tmp_path, capsys):
+        if source == "flag":
+            argv = ["--defaults", "--shots", str(10**20)]
+        else:
+            entry = scenario_to_dict(default_scenarios()[0])
+            entry["shots"] = 10**20
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps([entry]))
+            argv = ["--config", str(path)]
+        assert run_cli("experiment", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "shots must be <=" in captured.err and "Traceback" not in captured.err
+
     def test_unwritable_output(self, config_path, tmp_path, capsys):
         missing_dir = tmp_path / "does" / "not" / "exist" / "out.csv"
         code = run_cli("compute", "--config", str(config_path), "--out", str(missing_dir))

@@ -14,9 +14,7 @@ from photon_duality import (
     apply_arm_unitary,
     block_arm,
     detection_probabilities,
-    detection_probability,
     distinguishability,
-    extract_visibility,
     fit_fringe,
     fringe_scan,
     internal_rotation,
@@ -44,16 +42,16 @@ def random_unitary(rng, dim=2):
 class TestDetectionProbability:
     def test_full_constructive_interference(self):
         s = state_with_overlap(HALF, HALF, 1.0)  # V = 1, theta0 = 0
-        assert detection_probability(s, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert detection_probabilities(s, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_no_fringe_without_overlap(self):
         s = state_with_overlap(HALF, HALF, 0.0)
         for phi in np.linspace(0, 2 * math.pi, 7):
-            assert detection_probability(s, phi) == pytest.approx(0.5, abs=1e-12)
+            assert detection_probabilities(s, [phi])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_partial_state_at_zero_phase(self):
         s = state_with_overlap(math.sqrt(0.7), math.sqrt(0.3), 0.5)
-        assert detection_probability(s, 0.0) == pytest.approx(0.729128784747792, abs=1e-9)
+        assert detection_probabilities(s, [0.0])[0] == pytest.approx(0.729128784747792, abs=1e-9)
 
     def test_port_complementarity(self):
         rng = np.random.default_rng(30)
@@ -76,7 +74,7 @@ class TestDetectionProbability:
 
     def test_rejects_bad_port(self):
         with pytest.raises(ValueError, match="port"):
-            detection_probability(state_with_overlap(HALF, HALF, 0.5), 0.0, port=3)
+            detection_probabilities(state_with_overlap(HALF, HALF, 0.5), [0.0], port=3)
 
 
 class TestFringeScan:
@@ -112,16 +110,16 @@ class TestFringeScan:
 
 class TestVisibilityExtraction:
     def test_full_visibility(self):
-        v_hat, _ = extract_visibility(fringe_scan(state_with_overlap(HALF, HALF, 1.0)))
+        v_hat, *_ = fit_fringe(fringe_scan(state_with_overlap(HALF, HALF, 1.0)))
         assert v_hat == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_visibility(self):
-        v_hat, _ = extract_visibility(fringe_scan(state_with_overlap(HALF, HALF, 0.0)))
+        v_hat, *_ = fit_fringe(fringe_scan(state_with_overlap(HALF, HALF, 0.0)))
         assert v_hat == pytest.approx(0.0, abs=1e-9)
 
     def test_partial_visibility(self):
         scan = fringe_scan(state_with_overlap(math.sqrt(0.7), math.sqrt(0.3), 0.5))
-        v_hat, theta0_hat = extract_visibility(scan)
+        v_hat, theta0_hat, *_ = fit_fringe(scan)
         assert v_hat == pytest.approx(0.458257569495584, abs=1e-9)
         assert theta0_hat == pytest.approx(0.0, abs=1e-9)
 
@@ -129,7 +127,7 @@ class TestVisibilityExtraction:
         rng = np.random.default_rng(33)
         for _ in range(1000):
             s = random_two_path_state(rng)
-            v_hat, _ = extract_visibility(fringe_scan(s))
+            v_hat, *_ = fit_fringe(fringe_scan(s))
             assert abs(v_hat - visibility(s)) < 1e-9
 
     def test_phase_origin_invariance(self):
@@ -151,7 +149,7 @@ class TestVisibilityExtraction:
             s = random_two_path_state(rng)
             if visibility(s) < 1e-3:
                 continue
-            _, theta0_hat = extract_visibility(fringe_scan(s))
+            _, theta0_hat, *_ = fit_fringe(fringe_scan(s))
             theta0 = float(np.angle(s.c_a * np.conj(s.c_b) * np.conj(overlap(s))))
             delta = (theta0_hat - theta0 + math.pi) % (2 * math.pi) - math.pi
             assert abs(delta) < 1e-8
@@ -160,17 +158,17 @@ class TestVisibilityExtraction:
         grid = np.linspace(0, math.pi, 16)  # only half a period
         scan = FringeScan(grid, np.full(16, 0.5), noisy=False, shots_per_point=0)
         with pytest.raises(ValueError, match="span"):
-            extract_visibility(scan)
+            fit_fringe(scan)
 
     def test_degenerate_scan_rejected(self):
         scan = FringeScan(phase_grid(16), np.zeros(16), noisy=False, shots_per_point=0)
         with pytest.raises(ValueError, match="degenerate"):
-            extract_visibility(scan)
+            fit_fringe(scan)
 
     def test_noisy_scan_recovers_visibility(self):
         s = state_with_overlap(HALF, HALF, 0.6)
         scan = sample_fringe_scan(s, 100_000, np.random.default_rng(6))
-        v_hat, _ = extract_visibility(scan)
+        v_hat, *_ = fit_fringe(scan)
         assert abs(v_hat - visibility(s)) < 0.02
         assert fit_fringe(scan).rmse < 0.01
 

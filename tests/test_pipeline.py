@@ -13,7 +13,6 @@ from photon_duality import (
     render_report,
     run_pipeline,
     scenario_to_dict,
-    sphere_points,
     vdc_triple,
 )
 from photon_duality.pipeline import CSV_COLUMNS
@@ -87,6 +86,15 @@ class TestLoadScenarios:
         path = write_config(tmp_path, [entry])
         with pytest.raises(ScenarioError, match=r"entry 0.*invalid state"):
             load_scenarios(path)
+
+    def test_shots_beyond_int64_rejected(self, tmp_path):
+        # numpy's samplers take shot counts only up to 2**63 - 1.
+        entry = scenario_to_dict(make_scenario())
+        entry["shots"] = 2**63
+        path = write_config(tmp_path, [entry])
+        with pytest.raises(ScenarioError, match="shots must be <="):
+            load_scenarios(path)
+        make_scenario(shots=2**63 - 1)
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_rejected(self, tmp_path, constant):
@@ -258,10 +266,7 @@ class TestEmission:
             render_report([], "csv")
 
     def test_sphere_points(self, reports):
-        est = sphere_points(reports)
-        ana = sphere_points(reports, analytic=True)
-        assert len(est) == len(ana) == len(reports)
-        for x, y, z in est:
+        for r in reports:
+            x, y, z = r.sphere_point
             assert 0.0 <= min(x, y, z) and max(x, y, z) <= 1.0
-        for point in ana:
-            assert sum(v * v for v in point) == pytest.approx(1.0, abs=1e-10)
+            assert r.sphere_point == tuple(min(1.0, max(0.0, v)) for v in r.estimated.as_tuple())
