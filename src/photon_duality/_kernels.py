@@ -17,6 +17,14 @@ a = min(-|r| / |v|, -1), and one full step from x, kept only when its
 likelihood is not below that of t2.  Every accepted state is therefore no
 worse than the one before it.
 
+The log-likelihood ll(rho) = sum_k n_k log p_k is concave, so every iterate
+carries the bound ll* - ll <= lambda_max(G) - Tr(G rho), where
+G = sum_k (n_k / p_k) P_k is its gradient (Glancy, Knill & Girard, New J.
+Phys. 14, 095017, 2012).  The R the iteration builds is G over the mean
+shots per setting, so lambda_max(R) / Tr(R rho) - 1 is that bound per count
+(Tr(G rho) = N, the total count).  This certified shortfall per count is
+the loop's one stop rule.
+
 The (K, n, n) stack of Hermitian outcome projectors is read as a real
 (K, 2 n^2) matrix A over the interleaved real and imaginary parts of each
 entry.  Since P is Hermitian, Re Tr(P rho) = sum_ab Re(conj(P_ab) rho_ab),
@@ -70,15 +78,21 @@ def mle_loop(projs, counts, freqs, rho0, max_iter: int, tol: float):
 
     projs:  (K, n, n) stacked Hermitian outcome projectors.
     counts: (K,) observed counts (log-likelihood weights).
-    freqs:  (K,) per-setting outcome frequencies (reweighting numerators).
+    freqs:  (K,) counts over the mean shots per setting (reweighting
+            numerators, so that R is the likelihood's gradient up to scale).
     rho0:   (n, n) starting state.
-    Returns (rho, iterations, log_likelihood, converged).
+    Returns (rho, iterations, log_likelihood, gap, converged).
 
     ``iterations`` counts applications of the map t -> R t, the extrapolated
     ones included.  A cycle needs three, so with fewer than three left in
     the budget the loop takes plain steps only (``max_iter <= 2`` is the
-    plain iteration).  ``converged`` is set when a plain step gains less than
-    ``tol`` or no step short of ``EPS_MIN`` dilution keeps the likelihood.
+    plain iteration).  Each cycle starts by building R at the current state
+    once, for its first plain step and for the certificate
+    ``gap = max(lambda_max(R) / Tr(R rho) - 1, 0)`` (one n x n ``eigvalsh``),
+    and the loop stops when ``gap < tol``.  ``gap`` is returned for the
+    returned state and ``converged`` is ``gap < tol``, also when the loop
+    ends because no step short of ``EPS_MIN`` dilution keeps the likelihood;
+    ``tol = 0.0`` runs the whole budget.
     """
     rows = _real_rows(projs)
     counts = np.ascontiguousarray(counts, dtype=np.float64)
@@ -95,16 +109,19 @@ def mle_loop(projs, counts, freqs, rho0, max_iter: int, tol: float):
         p = _probabilities(rows, rho)
         return t, rho, p, _log_likelihood(counts, p)
 
-    def reweighted(p, t):
-        # R t, with R = sum_k (freqs_k / p_k) P_k.
-        return ((freqs / p) @ rows).view(np.complex128).reshape(n, n) @ t
+    def reweighting(p):
+        # R = sum_k (freqs_k / p_k) P_k.
+        return ((freqs / p) @ rows).view(np.complex128).reshape(n, n)
 
-    def plain_step(cur):
-        # Full step if it keeps the likelihood, else the largest diluted one
-        # that does; None when no step does.
-        t, _, p, ll = cur
+    def certificate(r, t, rt):
+        # lambda_max(R) / Tr(R rho) - 1 at rho = t t^H, floored at 0.
+        return max(float(np.linalg.eigvalsh(r)[-1] / np.vdot(t, rt).real) - 1.0, 0.0)
+
+    def plain_step(cur, rt):
+        # Full step t -> R t if it keeps the likelihood, else the largest
+        # diluted one that does; None when no step does.
+        t, _, _, ll = cur
         slack = _ULP_SLACK * (1.0 + abs(ll))
-        rt = reweighted(p, t)
         cand = point(rt)
         eps = 0.5
         while cand[3] < ll - slack:
@@ -121,28 +138,33 @@ def mle_loop(projs, counts, freqs, rho0, max_iter: int, tol: float):
         norm_v = math.sqrt(np.vdot(v, v).real)
         alpha = min(-math.sqrt(np.vdot(r, r).real) / norm_v, -1.0) if norm_v > 0.0 else -1.0
         x = unit(t - 2.0 * alpha * r + alpha * alpha * v)
-        return point(reweighted(_probabilities(rows, x @ x.conj().T), x))
+        return point(reweighting(_probabilities(rows, x @ x.conj().T)) @ x)
 
     evals, vecs = np.linalg.eigh(np.asarray(rho0, dtype=np.complex128))
     cur = point(vecs * np.sqrt(np.clip(evals, 0.0, None)))
     iterations = 0
-    converged = False
-    while iterations < max_iter and not converged:
-        path = [cur]
-        for _ in range(2 if max_iter - iterations >= 3 else 1):
-            nxt = plain_step(cur)
-            iterations += 1
-            if nxt is None:
-                converged = True  # no admissible step improves: gain is below tol
-                break
-            converged = max(nxt[3] - cur[3], 0.0) < tol
-            cur = nxt
-            path.append(cur)
-            if converged:
-                break
-        if len(path) == 3 and not converged:  # two plain steps: extrapolate
-            cand = extrapolated(*(state[0] for state in path))
-            iterations += 1
-            if cand[3] >= cur[3] - _ULP_SLACK * (1.0 + abs(cur[3])):
-                cur = cand
-    return cur[1], iterations, cur[3], converged
+    while True:
+        r = reweighting(cur[2])
+        rt = r @ cur[0]
+        gap = certificate(r, cur[0], rt)
+        if gap < tol or iterations >= max_iter:
+            break
+        full_cycle = max_iter - iterations >= 3
+        t1 = plain_step(cur, rt)
+        iterations += 1
+        if t1 is None:
+            break
+        if not full_cycle:
+            cur = t1
+            continue
+        r = reweighting(t1[2])
+        rt = r @ t1[0]
+        t2 = plain_step(t1, rt)
+        iterations += 1
+        if t2 is None:
+            cur, gap = t1, certificate(r, t1[0], rt)
+            break
+        cand = extrapolated(cur[0], t1[0], t2[0])
+        iterations += 1
+        cur = cand if cand[3] >= t2[3] - _ULP_SLACK * (1.0 + abs(t2[3])) else t2
+    return cur[1], iterations, cur[3], gap, gap < tol

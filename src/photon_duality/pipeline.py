@@ -73,6 +73,7 @@ class RunReport:
     fit_rmse: float
     mle_iterations: int
     mle_converged: bool
+    mle_gap: float
     fidelity: float
 
     def __post_init__(self):
@@ -85,6 +86,7 @@ class RunReport:
             self.tomographic.residual,
             *self.sphere_point,
             self.fit_rmse,
+            self.mle_gap,
             self.fidelity,
         ]
         if not np.all(np.isfinite(numerics)):
@@ -133,6 +135,7 @@ def run_pipeline(sc: Scenario) -> RunReport:
         fit_rmse=fit.rmse,
         mle_iterations=tomo.iterations,
         mle_converged=tomo.converged,
+        mle_gap=tomo.gap,
         fidelity=pure_state_fidelity(tomo.rho_hat, state),
     )
 
@@ -192,6 +195,7 @@ def report_to_dict(r: RunReport) -> dict:
         "fit_rmse": r.fit_rmse,
         "mle_iterations": r.mle_iterations,
         "mle_converged": r.mle_converged,
+        "mle_gap": r.mle_gap,
         "fidelity": r.fidelity,
     }
 

@@ -108,8 +108,23 @@ class TestConvergenceWarning:
         assert [r["mle_converged"] for r in parsed] == [False, False]
 
     def test_converged_runs_stay_quiet(self, config_path, capsys):
-        assert run_cli("experiment", "--config", str(config_path), "--seed", "5") == 0
-        assert capsys.readouterr().err == ""
+        for source in (("--config", str(config_path), "--seed", "5"), ("--defaults", "--seed", "42")):
+            assert run_cli("experiment", *source) == 0
+            assert capsys.readouterr().err == ""
+
+    def test_json_converged_iff_gap_below_tol(self, config_path, monkeypatch, capsys):
+        # The default budget certifies every seed-42 default; a budget of
+        # three map applications certifies neither scenario of the config.
+        assert run_cli("experiment", "--defaults", "--seed", "42", "--format", "json") == 0
+        reports = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(
+            pipeline, "mle_reconstruct", functools.partial(tomography.mle_reconstruct, max_iter=3)
+        )
+        assert run_cli("experiment", "--config", str(config_path), "--format", "json") == 0
+        reports += json.loads(capsys.readouterr().out)
+        assert [r["mle_converged"] for r in reports] == [True] * 7 + [False] * 2
+        for r in reports:
+            assert r["mle_converged"] == (r["mle_gap"] < 1e-8)
 
 
 class TestSphere:

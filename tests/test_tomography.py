@@ -127,6 +127,15 @@ def oracle_log_likelihood(rho_mat, records):
     return ll
 
 
+def certified_gap(rho_mat, records):
+    """(lambda_max(G) - Tr(G rho)) / N, with G = sum_k (counts_k / p_k) P_k
+    the log-likelihood's gradient and N the total count."""
+    projs, counts, _ = oracle_arrays(records)
+    p = np.maximum(np.einsum("kab,ba->k", projs, rho_mat).real, P_FLOOR)
+    grad = np.einsum("k,kab->ab", counts / p, projs)
+    return (np.linalg.eigvalsh(grad)[-1] - np.trace(grad @ rho_mat).real) / counts.sum()
+
+
 def sampled_records(rho, shots, master_seed):
     return [
         sample_counts(rho, m, shots, derive_seed(master_seed, k))
@@ -367,7 +376,7 @@ class TestMLE:
         # to the oracle's result at the default budget: no lower likelihood,
         # no more iterations.
         recs = oracle_input(index)
-        result = mle_reconstruct(recs)
+        result = mle_reconstruct(recs, tol=1e-14)
         _, budget_iterations, budget_ll, _ = oracle_reconstruct(recs)
         rho, _, ll, converged = oracle_reconstruct(recs, max_iter=40_000)
         assert converged
@@ -377,11 +386,41 @@ class TestMLE:
         assert result.log_likelihood >= budget_ll - _ULP_SLACK * (1.0 + abs(budget_ll))
         assert result.iterations <= budget_iterations
 
+    @pytest.mark.parametrize("index", range(8), ids=ORACLE_INPUT_IDS)
+    def test_certificate_bounds_oracle_optimum(self, index):
+        # At the default tol every input certifies, and the certified
+        # shortfall per count bounds the gap to the optimum the oracle
+        # reaches when run to convergence.
+        recs = oracle_input(index)
+        result = mle_reconstruct(recs)
+        assert result.converged and result.gap < 1e-8
+        assert certified_gap(result.rho_hat.matrix, recs) == pytest.approx(
+            result.gap, rel=1e-6, abs=1e-12
+        )
+        _, _, ll, converged = oracle_reconstruct(recs, max_iter=40_000)
+        assert converged
+        total = sum(rec.shots for rec in recs)
+        assert ll - result.log_likelihood <= result.gap * total + _ULP_SLACK * (1.0 + abs(ll))
+
     def test_kernel_converges_on_oracle_inputs(self):
-        # default-skew-g0.00 alone may exhaust the default budget: the oracle
-        # needs ~28k iterations to converge on it.
+        # default-skew-g0.00 included: the oracle needs ~28k iterations to
+        # converge on it.
         converged = [mle_reconstruct(oracle_input(i)).converged for i in range(8)]
-        assert sum(converged) >= 7
+        assert sum(converged) == 8
+
+    def test_uneven_shots_reach_the_certified_optimum(self):
+        # Settings with 100x different shots: the reweighting must follow
+        # the gradient of sum_k counts_k log p_k, or the iteration freezes
+        # short of the optimum that the likelihood acceptance targets.
+        rho = to_density_matrix(random_two_path_state(np.random.default_rng(5)))
+        recs = [
+            sample_counts(rho, m, 500 if k % 2 else 50_000, 100 + k)
+            for k, m in enumerate(NONTRIVIAL_SETTINGS)
+        ]
+        result = mle_reconstruct(recs, max_iter=10_000)
+        assert result.converged and result.gap < 1e-8
+        assert certified_gap(result.rho_hat.matrix, recs) < 1e-8
+        assert mle_reconstruct(recs, max_iter=100, tol=0.0).iterations == 100
 
 
 class TestEstimateFromRho:
