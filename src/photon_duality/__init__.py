@@ -8,24 +8,19 @@ noise, and checks that the three measures land on the unit sphere
 """
 
 from .interferometer import (
-    ArmUnitary,
     FringeFit,
     FringeScan,
-    apply_arm_unitary,
     block_arm,
     detection_probabilities,
     fit_fringe,
     fringe_scan,
-    internal_rotation,
     phase_grid,
     sample_fringe_scan,
 )
 from .metrics import (
     DualityTriple,
-    PathProbabilities,
     distinguishability,
     entanglement,
-    path_probabilities,
     vdc_triple,
     visibility,
 )
@@ -48,7 +43,6 @@ from .states import (
     concurrence_pure,
     internal_overlap,
     overlap,
-    partial_trace,
     pure_state_fidelity,
     random_two_path_state,
     schmidt_decompose,
@@ -67,7 +61,6 @@ from .tomography import (
     linear_inversion,
     mle_reconstruct,
     outcome_probabilities,
-    pauli_expectation,
     sample_counts,
 )
 

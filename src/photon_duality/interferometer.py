@@ -1,14 +1,15 @@
-"""Mach-Zehnder model: fringes, visibility fitting, arm blocking, arm rotations.
+"""Mach-Zehnder model: fringes, visibility fitting, arm blocking.
 
 The recombiner is an ideal lossless 50/50 splitter.  With relative arm phase
-``phi`` applied to arm A, the bright-port detection probability is
+``phi`` applied to arm A, the detection probability at the "+" port, the one
+modelled here, is
 
     p(phi) = 0.5 * || e^{i phi} c_a |phi_a>  +  c_b |phi_b> ||^2
            = 0.5 * (1 + V cos(phi + theta0)),   theta0 = arg(c_a conj(c_b) conj(gamma))
 
-and the second port carries 1 - p.  Port 1 is the "+" combination; only
-relative phases are physically meaningful.  Phases are plain floats in
-radians throughout (reduced mod 2*pi for reporting only, never on storage).
+and the "-" port carries 1 - p.  Only relative phases are physically
+meaningful.  Phases are plain floats in radians throughout (reduced mod 2*pi
+for reporting only, never on storage).
 
 Visibility is extracted from a scan by linear least squares on the basis
 {1, cos phi, sin phi}, which solves the model form exactly and degrades
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import MATRIX_ATOL, InternalState, PathLabel, TwoPathState
+from .states import PathLabel, TwoPathState
 
 DEFAULT_PHASE_POINTS = 64
 MIN_PHASE_POINTS = 8
@@ -74,20 +75,13 @@ class FringeScan:
         object.__setattr__(self, "probabilities", probs)
 
 
-def _port_amplitudes(s: TwoPathState, phases: np.ndarray, port: int) -> np.ndarray:
-    sign = 1.0 if port == 1 else -1.0
-    return (
-        np.exp(1j * phases)[:, None] * s.c_a * s.phi_a.amplitudes[None, :]
-        + sign * s.c_b * s.phi_b.amplitudes[None, :]
-    )
-
-
-def detection_probabilities(s: TwoPathState, phases: np.ndarray, port: int = 1) -> np.ndarray:
-    """Exact detection probabilities at the chosen output port over a grid."""
-    if port not in (1, 2):
-        raise ValueError(f"port must be 1 or 2, got {port}")
+def detection_probabilities(s: TwoPathState, phases: np.ndarray) -> np.ndarray:
+    """Exact "+"-port detection probabilities over a grid."""
     phases = np.asarray(phases, dtype=np.float64)
-    amps = _port_amplitudes(s, phases, port)
+    amps = (
+        np.exp(1j * phases)[:, None] * s.c_a * s.phi_a.amplitudes[None, :]
+        + s.c_b * s.phi_b.amplitudes[None, :]
+    )
     p = 0.5 * np.sum(np.abs(amps) ** 2, axis=1)
     return np.clip(p, 0.0, 1.0)
 
@@ -171,43 +165,3 @@ def block_arm(s: TwoPathState, blocked: PathLabel) -> float:
     if blocked == PathLabel.B:
         return abs(s.c_a) ** 2
     raise ValueError(f"unknown arm {blocked!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class ArmUnitary:
-    """A d x d unitary acting on one arm's internal state only."""
-
-    matrix: np.ndarray
-    arm: PathLabel
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"arm unitary must be square, got shape {mat.shape}")
-        dev = np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])))
-        if dev > MATRIX_ATOL:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
-        if not isinstance(self.arm, PathLabel):
-            raise ValueError(f"arm must be a PathLabel, got {self.arm!r}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-def apply_arm_unitary(s: TwoPathState, u: ArmUnitary) -> TwoPathState:
-    """Rotate one arm's internal state; path amplitudes (and hence D) untouched."""
-    if u.matrix.shape[0] != s.dim:
-        raise ValueError(
-            f"unitary dimension {u.matrix.shape[0]} does not match state dimension {s.dim}"
-        )
-    rotated = {
-        PathLabel.A: (InternalState(u.matrix @ s.phi_a.amplitudes), s.phi_b),
-        PathLabel.B: (s.phi_a, InternalState(u.matrix @ s.phi_b.amplitudes)),
-    }[u.arm]
-    return TwoPathState(s.c_a, s.c_b, rotated[0], rotated[1])
-
-
-def internal_rotation(angle: float) -> np.ndarray:
-    """Real 2 x 2 rotation; rotating one arm by beta takes |gamma| to |cos beta|
-    when both arms start aligned.  Handy for dialing in a target overlap."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)

@@ -12,14 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .states import TwoPathState, overlap
-
-
-class PathProbabilities(NamedTuple):
-    p_a: float
-    p_b: float
 
 
 @dataclass(frozen=True)
@@ -47,11 +41,6 @@ class DualityTriple:
 def _clip01(x: float) -> float:
     # Measures are mathematically in [0, 1]; shave off float overshoot only.
     return min(1.0, max(0.0, x))
-
-
-def path_probabilities(s: TwoPathState) -> PathProbabilities:
-    """Born probabilities (|c_a|^2, |c_b|^2) of finding the photon per arm."""
-    return PathProbabilities(abs(s.c_a) ** 2, abs(s.c_b) ** 2)
 
 
 def visibility(s: TwoPathState) -> float:

@@ -188,11 +188,7 @@ def _overlap_pair(g: float) -> tuple[complex, complex]:
     return (complex(g), complex(math.sqrt(max(0.0, 1.0 - g * g))))
 
 
-def default_scenarios(
-    shots: int = DEFAULT_SHOTS,
-    phase_points: int = DEFAULT_PHASE_POINTS,
-    master_seed: int = DEFAULT_MASTER_SEED,
-) -> list[Scenario]:
+def default_scenarios() -> list[Scenario]:
     """The seven constructed default scenarios (see module docstring)."""
     half = math.sqrt(0.5)
     specs = [(f"default-arc-g{g:.2f}", half, half, g) for g in ARC_OVERLAPS]
@@ -207,9 +203,9 @@ def default_scenarios(
             c_b=complex(c_b),
             phi_a=(1 + 0j, 0j),
             phi_b=_overlap_pair(g),
-            shots=shots,
-            phase_points=phase_points,
-            seed=derive_seed(master_seed, i),
+            shots=DEFAULT_SHOTS,
+            phase_points=DEFAULT_PHASE_POINTS,
+            seed=derive_seed(DEFAULT_MASTER_SEED, i),
         )
         for i, (name, c_a, c_b, g) in enumerate(specs)
     ]

@@ -9,7 +9,7 @@ dimension d >= 2:
 
 This module owns construction and validation of such states, the internal
 overlap gamma = <phi_a|phi_b>, Schmidt decomposition of the path/internal
-bipartition, density matrices, partial traces, and two-qubit concurrence.
+bipartition, density matrices, and two-qubit concurrence.
 
 Tensor convention (fixed throughout the package): path-major ordering. A
 joint vector index is path*d + internal, so arm A occupies the first d
@@ -222,44 +222,25 @@ class DensityMatrix:
         trace_err = abs(np.trace(mat).real - 1.0) + abs(np.trace(mat).imag)
         if trace_err > MATRIX_ATOL:
             raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
-        if check_positive and not _is_psd(mat, PSD_ATOL):
+        if check_positive and not _is_psd(mat):
             raise ValueError(
                 f"density matrix has eigenvalues below -{PSD_ATOL} (not physical)"
             )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim_internal(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    def is_physical(self, tol: float = PSD_ATOL) -> bool:
-        return _is_psd(self.matrix, tol)
+    def is_physical(self) -> bool:
+        return _is_psd(self.matrix)
 
 
-def _is_psd(mat: np.ndarray, tol: float) -> bool:
-    return float(np.linalg.eigvalsh(mat)[0]) >= -tol
+def _is_psd(mat: np.ndarray) -> bool:
+    return float(np.linalg.eigvalsh(mat)[0]) >= -PSD_ATOL
 
 
 def to_density_matrix(s: TwoPathState) -> DensityMatrix:
     """Rank-1 projector onto the state in the path (x) internal basis."""
     psi = state_vector(s)
     return DensityMatrix(np.outer(psi, psi.conj()))
-
-
-def partial_trace(rho: DensityMatrix, keep: str) -> np.ndarray:
-    """Reduced matrix after tracing out one subsystem.
-
-    ``keep`` is ``"path"`` (returns 2 x 2) or ``"internal"`` (returns d x d).
-    The trace is preserved.
-    """
-    d = rho.dim_internal
-    blocks = rho.matrix.reshape(2, d, 2, d)
-    if keep == "path":
-        return np.einsum("aibi->ab", blocks)
-    if keep == "internal":
-        return np.einsum("aiaj->ij", blocks)
-    raise ValueError(f"keep must be 'path' or 'internal', got {keep!r}")
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

@@ -9,6 +9,9 @@ identity operator the -1 outcomes carry zero projectors, so their
 probability is exactly zero and the empirical expectation reduces to the
 marginal of the other qubit.
 
+Counts are held one way: a read-only (4,) array per setting, ordered as
+``OUTCOMES``.
+
 Reconstruction routes:
   * linear inversion - Pauli-basis expansion with empirical expectations;
     exactly invertible, but shot noise can push eigenvalues below zero.
@@ -18,9 +21,9 @@ Reconstruction routes:
     always physical.  The inner loop lives in ``_kernels``.
 
 All 64 outcome projectors (16 settings x 4 outcomes) form one read-only
-stack, built on first use and shared by count sampling, the likelihood of a
-linear-inversion estimate, and the MLE loop, which reads the 60 rows of the
-nontrivial settings.
+stack, built on first use and shared by count sampling, linear inversion
+(its estimate and its likelihood) and the MLE loop; the last two read the
+60 rows of the nontrivial settings.
 
 Counts are reproducible bit-for-bit from their seed; a record built by
 ``exact_record`` instead carries the infinite-shot limit (outcome
@@ -32,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping
 
 import numpy as np
 
@@ -51,6 +53,8 @@ for _m in PAULI.values():
     _m.setflags(write=False)
 
 OUTCOMES: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# Eigenvalue s * t of sigma_path (x) sigma_internal on each outcome.
+_SIGNS = np.array([s * t for s, t in OUTCOMES], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,6 @@ class MeasurementSetting:
     @property
     def is_trivial(self) -> bool:
         return self.path_op == "I" and self.internal_op == "I"
-
-    def operator(self) -> np.ndarray:
-        return np.kron(PAULI[self.path_op], PAULI[self.internal_op])
 
     def outcome_projectors(self) -> list[np.ndarray]:
         """4 x 4 joint eigenprojectors, ordered as ``OUTCOMES``.
@@ -119,12 +120,6 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
         )
 
 
-def pauli_expectation(rho: DensityMatrix, m: MeasurementSetting) -> float:
-    """Tr(rho * sigma_path (x) sigma_internal)."""
-    _require_two_qubits(rho)
-    return float(np.trace(rho.matrix @ m.operator()).real)
-
-
 def outcome_probabilities(rho: DensityMatrix, m: MeasurementSetting) -> np.ndarray:
     """Exact joint-outcome distribution, ordered as ``OUTCOMES``."""
     _require_two_qubits(rho)
@@ -134,40 +129,36 @@ def outcome_probabilities(rho: DensityMatrix, m: MeasurementSetting) -> np.ndarr
     return p / p.sum()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountRecord:
     """Outcome counts for one measurement setting.
 
-    Sampled records carry integer counts summing to ``shots``.  Records from
+    ``counts`` is a read-only (4,) array ordered as ``OUTCOMES``.  Sampled
+    records carry integer counts summing to ``shots``.  Records from
     ``exact_record`` carry the outcome probabilities themselves as fractional
     counts with shots = 1 (the infinite-shot idealization).
     """
 
     setting: MeasurementSetting
-    counts: Mapping[tuple[int, int], float]
+    counts: np.ndarray
     shots: int
     seed: int
 
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if set(self.counts) != set(OUTCOMES):
-            raise ValueError(f"counts must cover exactly the outcomes {OUTCOMES}")
-        values = np.array([self.counts[o] for o in OUTCOMES], dtype=np.float64)
-        if np.any(values < 0.0):
+        counts = np.array(self.counts)
+        if counts.shape != (len(OUTCOMES),) or counts.dtype.kind not in "iuf":
+            raise ValueError(f"counts must be a numeric ({len(OUTCOMES)},) array in OUTCOMES order")
+        if not np.all(np.isfinite(counts)):
+            raise ValueError("counts must be finite")
+        if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        total = float(values.sum())
+        total = float(np.sum(counts, dtype=np.float64))
         if abs(total - self.shots) > 1e-9 * max(1.0, self.shots):
             raise ValueError(f"counts sum to {total}, expected shots = {self.shots}")
-        object.__setattr__(self, "counts", dict(self.counts))
-
-    def frequencies(self) -> np.ndarray:
-        """Outcome frequencies ordered as ``OUTCOMES``."""
-        return np.array([self.counts[o] / self.shots for o in OUTCOMES])
-
-    def empirical_expectation(self) -> float:
-        """Empirical <sigma (x) sigma> = sum of (s * t) weighted frequencies."""
-        return float(sum(s * t * f for (s, t), f in zip(OUTCOMES, self.frequencies())))
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
 
 def sample_counts(
@@ -180,37 +171,31 @@ def sample_counts(
         raise ValueError("the (I, I) setting is trivially 1 and is never sampled")
     seed = check_seed(seed)
     draws = make_rng(seed).multinomial(shots, outcome_probabilities(rho, m))
-    return CountRecord(
-        setting=m,
-        counts={o: int(n) for o, n in zip(OUTCOMES, draws)},
-        shots=int(shots),
-        seed=seed,
-    )
+    return CountRecord(setting=m, counts=draws, shots=int(shots), seed=seed)
 
 
 def exact_record(rho: DensityMatrix, m: MeasurementSetting) -> CountRecord:
     """Infinite-shot record: fractional counts equal to the exact distribution."""
     if m.is_trivial:
         raise ValueError("the (I, I) setting is trivially 1 and is never recorded")
-    p = outcome_probabilities(rho, m)
-    return CountRecord(
-        setting=m,
-        counts={o: float(v) for o, v in zip(OUTCOMES, p)},
-        shots=1,
-        seed=0,
-    )
+    return CountRecord(setting=m, counts=outcome_probabilities(rho, m), shots=1, seed=0)
 
 
 @dataclass(frozen=True)
 class TomographyResult:
+    """A reconstructed state and what its route can vouch for.
+
+    For ``mle_reconstruct``, ``gap`` is the certified log-likelihood
+    shortfall per count and ``converged`` is ``gap < tol``.  Linear
+    inversion certifies nothing: it reports ``iterations = 0``,
+    ``converged = False`` and ``gap = NaN``.
+    """
+
     rho_hat: DensityMatrix
-    method: str
     iterations: int
     log_likelihood: float
     converged: bool
-    # Certified log-likelihood shortfall per count of an MLE state (see
-    # ``mle_reconstruct``); NaN for linear inversion, which certifies nothing.
-    gap: float = math.nan
+    gap: float
 
 
 def _collect(records) -> list[CountRecord]:
@@ -239,7 +224,7 @@ def _measurement_arrays(ordered: list[CountRecord]):
     also when settings have uneven shots.  With equal shots it is each
     setting's own shots, so the scaled counts are its frequencies exactly.
     """
-    counts = np.array([[rec.counts[o] for o in OUTCOMES] for rec in ordered], dtype=np.float64)
+    counts = np.stack([rec.counts for rec in ordered]).astype(np.float64)
     mean_shots = sum(rec.shots for rec in ordered) / len(ordered)
     return _projector_stack()[4:], counts.reshape(-1), counts.reshape(-1) / mean_shots
 
@@ -247,21 +232,26 @@ def _measurement_arrays(ordered: list[CountRecord]):
 def linear_inversion(records) -> TomographyResult:
     """Pauli-basis inversion from empirical expectations.
 
+    rho = I/4 + 1/4 sum_m e_m sigma_m, with e_m = counts_m . (s t) / shots_m
+    the empirical expectation of setting m.  Since sum_o (s t)_o P_{m,o} is
+    sigma_path (x) sigma_internal for every setting, identity factors
+    included, the sum is one contraction over the projector stack.
+
     Exact on exact records; on sampled records the estimate is Hermitian and
     unit trace but may have (slightly) negative eigenvalues, so the returned
     density matrix skips the positivity check.
     """
     ordered = _collect(records)
-    rho_mat = 0.25 * np.eye(4, dtype=np.complex128)  # <I (x) I> := 1
-    for rec in ordered:
-        rho_mat += 0.25 * rec.empirical_expectation() * rec.setting.operator()
     projs, counts, _ = _measurement_arrays(ordered)
+    shots = np.array([rec.shots for rec in ordered], dtype=np.float64)
+    weights = np.outer(counts.reshape(-1, len(OUTCOMES)) @ _SIGNS / shots, _SIGNS)
+    rho_mat = 0.25 * (np.eye(4) + np.tensordot(weights.reshape(-1), projs, axes=1))
     return TomographyResult(
         rho_hat=DensityMatrix(rho_mat, check_positive=False),
-        method="linear_inversion",
         iterations=0,
         log_likelihood=_kernels.log_likelihood(projs, counts, rho_mat),
-        converged=True,
+        converged=False,
+        gap=math.nan,
     )
 
 
@@ -291,7 +281,6 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 1e-8) -> Tomogra
     )
     return TomographyResult(
         rho_hat=DensityMatrix(rho_mat),
-        method="mle",
         iterations=iterations,
         log_likelihood=ll,
         converged=converged,

@@ -7,12 +7,12 @@ import pytest
 
 from photon_duality import pipeline, scenario_to_dict, tomography
 from photon_duality.cli import main
-from photon_duality.scenarios import default_scenarios
+from photon_duality.scenarios import default_scenarios, override_shots
 
 
 @pytest.fixture()
 def config_path(tmp_path):
-    entries = [scenario_to_dict(sc) for sc in default_scenarios(shots=2000)[:2]]
+    entries = [scenario_to_dict(sc) for sc in override_shots(default_scenarios()[:2], 2000)]
     path = tmp_path / "scenarios.json"
     path.write_text(json.dumps(entries))
     return path

@@ -1,4 +1,4 @@
-"""Fringe model, visibility fitting, arm blocking, arm rotations."""
+"""Fringe model, visibility fitting, arm blocking, arm-local unitaries."""
 
 import math
 
@@ -6,20 +6,16 @@ import numpy as np
 import pytest
 
 from photon_duality import (
-    ArmUnitary,
     FringeScan,
     InternalState,
     PathLabel,
     TwoPathState,
-    apply_arm_unitary,
     block_arm,
     detection_probabilities,
     distinguishability,
     fit_fringe,
     fringe_scan,
-    internal_rotation,
     overlap,
-    path_probabilities,
     phase_grid,
     random_two_path_state,
     sample_fringe_scan,
@@ -37,6 +33,21 @@ def random_unitary(rng, dim=2):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotation(beta):
+    c, s = math.cos(beta), math.sin(beta)
+    return np.array([[c, -s], [s, c]])
+
+
+def rotate_arm(s, u, arm):
+    """The state with unitary ``u`` applied to one arm's internal tag."""
+    phi_a, phi_b = s.phi_a.amplitudes, s.phi_b.amplitudes
+    if arm == PathLabel.A:
+        phi_a = u @ phi_a
+    else:
+        phi_b = u @ phi_b
+    return TwoPathState(s.c_a, s.c_b, InternalState(phi_a), InternalState(phi_b))
 
 
 class TestDetectionProbability:
@@ -58,8 +69,13 @@ class TestDetectionProbability:
         grid = phase_grid(16)
         for _ in range(200):
             s = random_two_path_state(rng, dim=int(rng.integers(2, 5)))
-            p1 = detection_probabilities(s, grid, port=1)
-            p2 = detection_probabilities(s, grid, port=2)
+            p1 = detection_probabilities(s, grid)
+            # The "-" port: the arm-B amplitude enters with the opposite sign.
+            amps = (
+                np.exp(1j * grid)[:, None] * s.c_a * s.phi_a.amplitudes
+                - s.c_b * s.phi_b.amplitudes
+            )
+            p2 = 0.5 * np.sum(np.abs(amps) ** 2, axis=1)
             np.testing.assert_allclose(p1 + p2, 1.0, atol=1e-12)
 
     def test_matches_fringe_form(self):
@@ -71,10 +87,6 @@ class TestDetectionProbability:
             theta0 = np.angle(s.c_a * np.conj(s.c_b) * np.conj(overlap(s)))
             expected = 0.5 * (1 + v * np.cos(grid + theta0))
             np.testing.assert_allclose(detection_probabilities(s, grid), expected, atol=1e-12)
-
-    def test_rejects_bad_port(self):
-        with pytest.raises(ValueError, match="port"):
-            detection_probabilities(state_with_overlap(HALF, HALF, 0.5), [0.0], port=3)
 
 
 class TestFringeScan:
@@ -189,41 +201,30 @@ class TestBlockArm:
         rng = np.random.default_rng(35)
         for _ in range(100):
             s = random_two_path_state(rng)
-            p = path_probabilities(s)
-            assert block_arm(s, PathLabel.B) == pytest.approx(p.p_a, abs=1e-12)
-            assert block_arm(s, PathLabel.A) == pytest.approx(p.p_b, abs=1e-12)
+            assert block_arm(s, PathLabel.B) == pytest.approx(abs(s.c_a) ** 2, abs=1e-12)
+            assert block_arm(s, PathLabel.A) == pytest.approx(abs(s.c_b) ** 2, abs=1e-12)
 
 
 class TestArmUnitary:
-    def test_identity_leaves_state_alone(self):
-        s = state_with_overlap(HALF, HALF, 0.5)
-        u = ArmUnitary(np.eye(2), PathLabel.B)
-        assert apply_arm_unitary(s, u) == s
+    """A unitary on one arm's internal tag moves gamma but not the path."""
 
     def test_aligning_rotation_gives_unit_overlap(self):
         s = state_with_overlap(HALF, HALF, 0.0)  # phi_b = (0, 1)
-        u = ArmUnitary(internal_rotation(-math.pi / 2), PathLabel.B)
-        assert abs(overlap(apply_arm_unitary(s, u))) == pytest.approx(1.0, abs=1e-12)
+        rotated = rotate_arm(s, rotation(-math.pi / 2), PathLabel.B)
+        assert abs(overlap(rotated)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_angle_sets_overlap(self):
+        # Rotating one of two aligned tags by beta gives |gamma| = |cos beta|.
         s = state_with_overlap(HALF, HALF, 1.0)
-        rotated = apply_arm_unitary(s, ArmUnitary(internal_rotation(math.pi / 3), PathLabel.B))
-        assert abs(overlap(rotated)) == pytest.approx(0.5, abs=1e-12)
+        for beta in (0.0, math.pi / 3, 1.1, math.pi / 2, 2.5):
+            rotated = rotate_arm(s, rotation(beta), PathLabel.B)
+            assert abs(overlap(rotated)) == pytest.approx(abs(math.cos(beta)), abs=1e-12)
 
     def test_distinguishability_invariant(self):
         rng = np.random.default_rng(36)
         for _ in range(200):
             s = random_two_path_state(rng)
-            u = ArmUnitary(random_unitary(rng), PathLabel(rng.choice(["A", "B"])))
-            assert distinguishability(apply_arm_unitary(s, u)) == pytest.approx(
+            rotated = rotate_arm(s, random_unitary(rng), PathLabel(rng.choice(["A", "B"])))
+            assert distinguishability(rotated) == pytest.approx(
                 distinguishability(s), abs=1e-12
             )
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            ArmUnitary(np.array([[1, 0], [0, 2]]), PathLabel.A)
-
-    def test_rejects_dimension_mismatch(self):
-        s = random_two_path_state(np.random.default_rng(0), dim=3)
-        with pytest.raises(ValueError, match="dimension"):
-            apply_arm_unitary(s, ArmUnitary(np.eye(2), PathLabel.A))

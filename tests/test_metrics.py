@@ -13,7 +13,6 @@ from photon_duality import (
     concurrence_pure,
     distinguishability,
     entanglement,
-    path_probabilities,
     random_two_path_state,
     schmidt_decompose,
     vdc_triple,
@@ -57,8 +56,8 @@ class TestDistinguishability:
         rng = np.random.default_rng(20)
         for _ in range(2000):
             s = random_two_path_state(rng)
-            p = path_probabilities(s)
-            assert distinguishability(s) == pytest.approx(abs(p.p_a - p.p_b), abs=1e-12)
+            p_a, p_b = abs(s.c_a) ** 2, abs(s.c_b) ** 2
+            assert distinguishability(s) == pytest.approx(abs(p_a - p_b), abs=1e-12)
 
 
 class TestEntanglement:
@@ -78,15 +77,6 @@ class TestEntanglement:
         for _ in range(1000):
             s = random_two_path_state(rng, dim=int(rng.integers(2, 5)))
             assert abs(entanglement(s) - concurrence_pure(schmidt_decompose(s))) < 1e-9
-
-
-class TestPathProbabilities:
-    def test_examples(self):
-        assert path_probabilities(state_with_overlap(1.0, 0.0, 0.0)) == pytest.approx((1.0, 0.0))
-        assert path_probabilities(state_with_overlap(HALF, HALF, 0.0)) == pytest.approx((0.5, 0.5))
-        p = path_probabilities(state_with_overlap(math.sqrt(0.7), math.sqrt(0.3), 0.0))
-        assert p == pytest.approx((0.7, 0.3), abs=1e-12)
-        assert p.p_a + p.p_b == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTriple:

@@ -1,11 +1,13 @@
 """Pauli sampling, linear inversion, MLE reconstruction, triple extraction."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from photon_duality import (
+    CountRecord,
     DensityMatrix,
     InternalState,
     MeasurementSetting,
@@ -16,7 +18,6 @@ from photon_duality import (
     linear_inversion,
     mle_reconstruct,
     outcome_probabilities,
-    pauli_expectation,
     pure_state_fidelity,
     random_two_path_state,
     sample_counts,
@@ -36,6 +37,17 @@ from photon_duality.tomography import (
 
 HALF = math.sqrt(0.5)
 MIXED = DensityMatrix(np.eye(4, dtype=complex) / 4)
+# Eigenvalue s * t of sigma_path (x) sigma_internal on each outcome.
+SIGNS = np.array([s * t for s, t in OUTCOMES], dtype=np.float64)
+
+
+def pauli_operator(m):
+    return np.kron(PAULI[m.path_op], PAULI[m.internal_op])
+
+
+def expectation(rec):
+    """Empirical <sigma_path (x) sigma_internal> of one record."""
+    return float(rec.counts @ SIGNS) / rec.shots
 
 
 def bell_like_state():
@@ -99,8 +111,8 @@ def oracle_arrays(records):
     projs, counts, freqs = [], [], []
     for rec in _collect(records):
         projs.extend(rec.setting.outcome_projectors())
-        counts.extend(rec.counts[o] for o in OUTCOMES)
-        freqs.extend(rec.frequencies())
+        counts.extend(rec.counts)
+        freqs.extend(rec.counts / rec.shots)
     return (
         np.array(projs, dtype=np.complex128),
         np.array(counts, dtype=np.float64),
@@ -122,9 +134,16 @@ def oracle_log_likelihood(rho_mat, records):
             [np.trace(rho_mat @ proj).real for proj in rec.setting.outcome_projectors()]
         )
         p = np.maximum(p, P_FLOOR)
-        n = np.array([rec.counts[o] for o in OUTCOMES])
+        n = rec.counts
         ll += float(np.sum(n[n > 0] * np.log(p[n > 0])))
     return ll
+
+
+@functools.cache
+def oracle_optimum(index):
+    """(rho, iterations, log-likelihood, converged) of the oracle run to
+    convergence on ``oracle_input(index)``; computed once per input."""
+    return oracle_reconstruct(oracle_input(index), max_iter=40_000)
 
 
 def certified_gap(rho_mat, records):
@@ -175,81 +194,86 @@ class TestSettings:
             np.testing.assert_allclose(total, np.eye(4), atol=1e-14)
 
     def test_projectors_reproduce_operator(self):
+        # Identity factors included: their -1 projectors are zero, so the
+        # sign-weighted sum still rebuilds sigma_path (x) sigma_internal.
         for m in ALL_SETTINGS:
             rebuilt = sum(
                 s * t * proj for (s, t), proj in zip(OUTCOMES, m.outcome_projectors())
             )
-            if m.path_op == "I" or m.internal_op == "I":
-                continue  # identity factors have no -1 eigenspace to rebuild from
-            np.testing.assert_allclose(rebuilt, m.operator(), atol=1e-14)
+            np.testing.assert_allclose(rebuilt, pauli_operator(m), atol=1e-14)
 
 
 class TestPauliExpectation:
+    """A Pauli expectation is the sign-weighted outcome distribution, the
+    quantity linear inversion reads off each record."""
+
     def test_trivial_setting(self):
         rho = to_density_matrix(bell_like_state())
-        assert pauli_expectation(rho, MeasurementSetting("I", "I")) == pytest.approx(1.0)
+        p = outcome_probabilities(rho, MeasurementSetting("I", "I"))
+        assert p @ SIGNS == pytest.approx(1.0)
 
     def test_bell_like_stabilizer(self):
         # Direct-trace oracle for <X (x) X> on the maximally entangled state.
         rho = to_density_matrix(bell_like_state())
         oracle = np.trace(rho.matrix @ np.kron(PAULI["X"], PAULI["X"])).real
         assert oracle == pytest.approx(1.0, abs=1e-12)
-        assert pauli_expectation(rho, MeasurementSetting("X", "X")) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        p = outcome_probabilities(rho, MeasurementSetting("X", "X"))
+        assert p @ SIGNS == pytest.approx(1.0, abs=1e-12)
 
     def test_path_population_difference(self):
         s = TwoPathState(math.sqrt(0.7), math.sqrt(0.3), InternalState([1, 0]), InternalState([1, 0]))
-        rho = to_density_matrix(s)
-        assert pauli_expectation(rho, MeasurementSetting("Z", "I")) == pytest.approx(
-            0.4, abs=1e-12
-        )
+        p = outcome_probabilities(to_density_matrix(s), MeasurementSetting("Z", "I"))
+        assert p @ SIGNS == pytest.approx(0.4, abs=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(40)
         for _ in range(100):
             rho = to_density_matrix(random_two_path_state(rng))
             for m in ALL_SETTINGS:
-                assert abs(pauli_expectation(rho, m)) <= 1 + 1e-10
+                e = outcome_probabilities(rho, m) @ SIGNS
+                assert abs(e) <= 1 + 1e-10
+                assert e == pytest.approx(np.trace(rho.matrix @ pauli_operator(m)).real, abs=1e-12)
 
     def test_rejects_higher_dimension(self):
         rho = to_density_matrix(random_two_path_state(np.random.default_rng(1), dim=3))
         with pytest.raises(ValueError, match="d = 2"):
-            pauli_expectation(rho, MeasurementSetting("Z", "I"))
+            outcome_probabilities(rho, MeasurementSetting("Z", "I"))
 
 
 class TestSampleCounts:
     def test_single_shot_lands_once(self):
         rec = sample_counts(MIXED, MeasurementSetting("X", "Z"), shots=1, seed=3)
-        assert sorted(rec.counts.values()) == [0, 0, 0, 1]
+        assert sorted(rec.counts.tolist()) == [0, 0, 0, 1]
 
     def test_eigenstate_concentrates(self):
         s = TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([1, 0]))
         rec = sample_counts(to_density_matrix(s), MeasurementSetting("Z", "Z"), 5000, seed=4)
-        assert rec.counts[(1, 1)] == 5000
+        assert rec.counts[OUTCOMES.index((1, 1))] == 5000
 
     def test_identity_side_outcomes_never_fire(self):
         rec = sample_counts(MIXED, MeasurementSetting("Z", "I"), 5000, seed=5)
-        assert rec.counts[(1, -1)] == 0 and rec.counts[(-1, -1)] == 0
+        assert rec.counts[OUTCOMES.index((1, -1))] == 0
+        assert rec.counts[OUTCOMES.index((-1, -1))] == 0
 
     def test_empirical_expectation_near_exact(self):
         rho = to_density_matrix(random_two_path_state(np.random.default_rng(41)))
         shots = 100_000
         for k, m in enumerate(NONTRIVIAL_SETTINGS):
             rec = sample_counts(rho, m, shots, derive_seed(7, k))
-            exact = pauli_expectation(rho, m)
-            assert abs(rec.empirical_expectation() - exact) <= 5 / math.sqrt(shots)
+            exact = np.trace(rho.matrix @ pauli_operator(m)).real
+            assert abs(expectation(rec) - exact) <= 5 / math.sqrt(shots)
 
     def test_bit_exact_reproducibility(self):
         rho = to_density_matrix(bell_like_state())
         a = sample_counts(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
         b = sample_counts(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
-        assert a.counts == b.counts and a.seed == b.seed
+        assert np.array_equal(a.counts, b.counts) and a.seed == b.seed
 
     def test_counts_are_integers_summing_to_shots(self):
         rec = sample_counts(MIXED, MeasurementSetting("Y", "Y"), 777, seed=6)
-        assert all(isinstance(v, int) for v in rec.counts.values())
-        assert sum(rec.counts.values()) == 777
+        assert rec.counts.shape == (4,) and rec.counts.dtype == np.int64
+        assert rec.counts.sum() == 777
+        assert not rec.counts.flags.writeable
 
     def test_trivial_setting_rejected(self):
         with pytest.raises(ValueError, match="never sampled"):
@@ -259,8 +283,26 @@ class TestSampleCounts:
         rho = to_density_matrix(bell_like_state())
         m = MeasurementSetting("X", "X")
         rec = exact_record(rho, m)
-        np.testing.assert_allclose(rec.frequencies(), outcome_probabilities(rho, m), atol=1e-15)
-        assert rec.empirical_expectation() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(rec.counts, outcome_probabilities(rho, m), atol=1e-15)
+        assert rec.counts.dtype == np.float64
+        assert expectation(rec) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([math.nan, 50, 25, 25], "finite"),
+            ([math.inf, 50, 25, 25], "finite"),
+            ([-1, 51, 25, 25], "non-negative"),
+            ([50, 25, 25], r"\(4,\) array"),
+            ([50, 25, 25, 1], "sum to"),
+        ],
+        ids=["nan", "inf", "negative", "three-outcomes", "wrong-sum"],
+    )
+    def test_count_record_rejects_bad_counts(self, counts, message):
+        # A NaN count once passed (NaN < 0 and |NaN - shots| > tol are both
+        # false) and crashed the MLE's eigensolver downstream.
+        with pytest.raises(ValueError, match=message):
+            CountRecord(MeasurementSetting("X", "Z"), np.array(counts, dtype=float), 100, seed=0)
 
 
 class TestLinearInversion:
@@ -271,7 +313,7 @@ class TestLinearInversion:
             recs = [exact_record(rho, m) for m in NONTRIVIAL_SETTINGS]
             result = linear_inversion(recs)
             assert np.max(np.abs(result.rho_hat.matrix - rho.matrix)) < 1e-12
-            assert result.method == "linear_inversion" and result.iterations == 0
+            assert result.iterations == 0 and not result.converged and math.isnan(result.gap)
 
     def test_missing_setting_rejected(self):
         rho = to_density_matrix(bell_like_state())
@@ -303,7 +345,7 @@ class TestLinearInversion:
     def test_maximally_mixed_expectations_small(self):
         recs = sampled_records(MIXED, 100_000, 9)
         for rec in recs:
-            assert abs(rec.empirical_expectation()) < 5 / math.sqrt(100_000)
+            assert abs(expectation(rec)) < 5 / math.sqrt(100_000)
         result = linear_inversion(recs)
         assert np.max(np.abs(result.rho_hat.matrix - MIXED.matrix)) < 0.01
 
@@ -319,7 +361,6 @@ class TestMLE:
     def test_sampled_pure_state(self):
         s = random_two_path_state(np.random.default_rng(44))
         result = mle_reconstruct(sampled_records(to_density_matrix(s), 100_000, 10))
-        assert result.method == "mle"
         assert pure_state_fidelity(result.rho_hat, s) >= 0.98
 
     def test_maximally_mixed_eigenvalues(self):
@@ -378,7 +419,7 @@ class TestMLE:
         recs = oracle_input(index)
         result = mle_reconstruct(recs, tol=1e-14)
         _, budget_iterations, budget_ll, _ = oracle_reconstruct(recs)
-        rho, _, ll, converged = oracle_reconstruct(recs, max_iter=40_000)
+        rho, _, ll, converged = oracle_optimum(index)
         assert converged
         assert result.log_likelihood == pytest.approx(ll, rel=1e-9)
         if result.converged:
@@ -397,7 +438,7 @@ class TestMLE:
         assert certified_gap(result.rho_hat.matrix, recs) == pytest.approx(
             result.gap, rel=1e-6, abs=1e-12
         )
-        _, _, ll, converged = oracle_reconstruct(recs, max_iter=40_000)
+        _, _, ll, converged = oracle_optimum(index)
         assert converged
         total = sum(rec.shots for rec in recs)
         assert ll - result.log_likelihood <= result.gap * total + _ULP_SLACK * (1.0 + abs(ll))
