@@ -73,14 +73,13 @@ def log_likelihood(projs: np.ndarray, counts: np.ndarray, rho: np.ndarray) -> fl
     return _log_likelihood(counts, _probabilities(_real_rows(projs), rho))
 
 
-def mle_loop(projs, counts, freqs, rho0, max_iter: int, tol: float):
-    """Run the accelerated fixed-point iteration from ``rho0``.
+def mle_loop(projs, counts, freqs, max_iter: int, tol: float):
+    """Run the accelerated fixed-point iteration from the maximally mixed state.
 
     projs:  (K, n, n) stacked Hermitian outcome projectors.
     counts: (K,) observed counts (log-likelihood weights).
     freqs:  (K,) counts over the mean shots per setting (reweighting
             numerators, so that R is the likelihood's gradient up to scale).
-    rho0:   (n, n) starting state.
     Returns (rho, iterations, log_likelihood, gap, converged).
 
     ``iterations`` counts applications of the map t -> R t, the extrapolated
@@ -97,7 +96,7 @@ def mle_loop(projs, counts, freqs, rho0, max_iter: int, tol: float):
     rows = _real_rows(projs)
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
-    n = rho0.shape[0]
+    n = projs.shape[-1]
 
     def unit(t):
         return t * (1.0 / math.sqrt(np.vdot(t, t).real))
@@ -140,8 +139,8 @@ def mle_loop(projs, counts, freqs, rho0, max_iter: int, tol: float):
         x = unit(t - 2.0 * alpha * r + alpha * alpha * v)
         return point(reweighting(_probabilities(rows, x @ x.conj().T)) @ x)
 
-    evals, vecs = np.linalg.eigh(np.asarray(rho0, dtype=np.complex128))
-    cur = point(vecs * np.sqrt(np.clip(evals, 0.0, None)))
+    # The factor I, scaled by ``point`` to I / sqrt(n), gives rho = I / n.
+    cur = point(np.eye(n, dtype=np.complex128))
     iterations = 0
     while True:
         r = reweighting(cur[2])

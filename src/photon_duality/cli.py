@@ -17,6 +17,7 @@ error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .interferometer import fringe_scan, phase_grid
@@ -36,7 +37,9 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``main`` parses every ``argv`` on it."""
     parser = argparse.ArgumentParser(
         prog="photon-duality",
         description="Two-path single-photon duality simulator and analyzer",

@@ -40,7 +40,8 @@ class DualityTriple:
 
 def _clip01(x: float) -> float:
     # Measures are mathematically in [0, 1]; shave off float overshoot only.
-    return min(1.0, max(0.0, x))
+    # NaN stays NaN (max(0.0, nan) is 0.0), so finiteness checks still see it.
+    return x if math.isnan(x) else min(1.0, max(0.0, x))
 
 
 def visibility(s: TwoPathState) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import FringeScan, block_arm, fit_fringe, phase_grid, sample_fringe_scan
-from .metrics import DualityTriple, vdc_triple
+from .metrics import DualityTriple, _clip01, vdc_triple
 from .scenarios import Scenario
 from .seeding import derive_seed, make_rng
 from .states import PathLabel, pure_state_fidelity, to_density_matrix
@@ -110,11 +110,8 @@ def run_pipeline(sc: Scenario) -> RunReport:
     d_est = abs(p_a_hat - p_b_hat)
 
     # Tomography -> concurrence (plus the all-tomographic triple).
-    records = [
-        sample_counts(rho_true, m, sc.shots, derive_seed(sc.seed, STAGE_TOMOGRAPHY, k))
-        for k, m in enumerate(NONTRIVIAL_SETTINGS)
-    ]
-    tomo = mle_reconstruct(records)
+    seeds = [derive_seed(sc.seed, STAGE_TOMOGRAPHY, k) for k in range(len(NONTRIVIAL_SETTINGS))]
+    tomo = mle_reconstruct(sample_counts(rho_true, sc.shots, seeds))
     tomographic = estimate_vdc_from_rho(tomo.rho_hat)
 
     estimated = DualityTriple(
@@ -152,7 +149,7 @@ def _surviving_fraction(p: float, shots: int, seed: int, arm_index: int) -> floa
 
 
 def _clamp_point(point) -> tuple[float, float, float]:
-    x, y, z = (min(1.0, max(0.0, float(v))) for v in point)
+    x, y, z = (_clip01(float(v)) for v in point)
     return (x, y, z)
 
 

@@ -21,7 +21,7 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -202,10 +202,13 @@ class DensityMatrix:
     Hermiticity and unit trace are always enforced.  Positivity (eigenvalues
     >= -PSD_ATOL) is checked by default; linear-inversion tomography passes
     ``check_positive=False`` because its output is allowed to dip below zero.
+    The answer is kept, so ``is_physical`` runs at most one eigensolve per
+    matrix, and none on a checked one.
     """
 
     matrix: np.ndarray
     check_positive: InitVar[bool] = True
+    _physical: bool | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, check_positive: bool):
         mat = np.array(self.matrix, dtype=np.complex128)
@@ -222,15 +225,19 @@ class DensityMatrix:
         trace_err = abs(np.trace(mat).real - 1.0) + abs(np.trace(mat).imag)
         if trace_err > MATRIX_ATOL:
             raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
-        if check_positive and not _is_psd(mat):
-            raise ValueError(
-                f"density matrix has eigenvalues below -{PSD_ATOL} (not physical)"
-            )
+        if check_positive:
+            if not _is_psd(mat):
+                raise ValueError(
+                    f"density matrix has eigenvalues below -{PSD_ATOL} (not physical)"
+                )
+            object.__setattr__(self, "_physical", True)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     def is_physical(self) -> bool:
-        return _is_psd(self.matrix)
+        if self._physical is None:
+            object.__setattr__(self, "_physical", _is_psd(self.matrix))
+        return self._physical
 
 
 def _is_psd(mat: np.ndarray) -> bool:

@@ -21,13 +21,17 @@ Reconstruction routes:
     always physical.  The inner loop lives in ``_kernels``.
 
 All 64 outcome projectors (16 settings x 4 outcomes) form one read-only
-stack, built on first use and shared by count sampling, linear inversion
+stack, built on first use and shared by the outcome table, linear inversion
 (its estimate and its likelihood) and the MLE loop; the last two read the
-60 rows of the nontrivial settings.
+60 rows of the nontrivial settings.  The outcome table is one contraction of
+that stack with rho: the (16, 4) outcome distributions of all settings,
+from which both count sampling and ``exact_record`` read their rows.
 
-Counts are reproducible bit-for-bit from their seed; a record built by
-``exact_record`` instead carries the infinite-shot limit (outcome
-probabilities as fractional counts with shots = 1) for noise-free checks.
+One ``sample_counts`` call draws a whole record set, one multinomial per
+nontrivial setting from that setting's own seed, so counts are reproducible
+bit-for-bit from their seeds; a record built by ``exact_record`` instead
+carries the infinite-shot limit (outcome probabilities as fractional counts
+with shots = 1) for noise-free checks.
 """
 
 from __future__ import annotations
@@ -97,12 +101,10 @@ class MeasurementSetting:
 ALL_SETTINGS: tuple[MeasurementSetting, ...] = tuple(
     MeasurementSetting(p, i) for p in "IXYZ" for i in "IXYZ"
 )
-NONTRIVIAL_SETTINGS: tuple[MeasurementSetting, ...] = tuple(
-    m for m in ALL_SETTINGS if not m.is_trivial
-)
-# First row of each setting's four outcomes in the projector stack.  (I, I)
-# comes first, so rows 4: are the nontrivial settings in their order.
-_STACK_ROW: dict[MeasurementSetting, int] = {m: 4 * i for i, m in enumerate(ALL_SETTINGS)}
+# (I, I) comes first in ``ALL_SETTINGS``, so dropping the first setting (its
+# four rows of the projector stack, its row of the outcome table) leaves the
+# nontrivial settings in their order.
+NONTRIVIAL_SETTINGS: tuple[MeasurementSetting, ...] = ALL_SETTINGS[1:]
 
 
 @cache
@@ -120,13 +122,18 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
         )
 
 
+def _outcome_table(rho: DensityMatrix) -> np.ndarray:
+    """(16, 4) exact outcome distributions of ``ALL_SETTINGS``, rows ordered as
+    ``OUTCOMES``."""
+    _require_two_qubits(rho)
+    p = np.einsum("kab,ba->k", _projector_stack(), rho.matrix).real
+    p = np.clip(p, 0.0, None).reshape(len(ALL_SETTINGS), len(OUTCOMES))  # ~-1e-8 PSD dust
+    return p / p.sum(axis=1, keepdims=True)
+
+
 def outcome_probabilities(rho: DensityMatrix, m: MeasurementSetting) -> np.ndarray:
     """Exact joint-outcome distribution, ordered as ``OUTCOMES``."""
-    _require_two_qubits(rho)
-    row = _STACK_ROW[m]
-    p = np.einsum("kab,ba->k", _projector_stack()[row : row + 4], rho.matrix).real
-    p = np.clip(p, 0.0, None)  # physicality tolerance can leave ~-1e-8 dust
-    return p / p.sum()
+    return _outcome_table(rho)[ALL_SETTINGS.index(m)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,28 +157,31 @@ class CountRecord:
         counts = np.array(self.counts)
         if counts.shape != (len(OUTCOMES),) or counts.dtype.kind not in "iuf":
             raise ValueError(f"counts must be a numeric ({len(OUTCOMES)},) array in OUTCOMES order")
-        if not np.all(np.isfinite(counts)):
+        total = float(counts.sum(dtype=np.float64))
+        if not math.isfinite(total):  # a NaN or an infinite count
             raise ValueError("counts must be finite")
-        if np.any(counts < 0):
+        if counts.min() < 0:
             raise ValueError("counts must be non-negative")
-        total = float(np.sum(counts, dtype=np.float64))
         if abs(total - self.shots) > 1e-9 * max(1.0, self.shots):
             raise ValueError(f"counts sum to {total}, expected shots = {self.shots}")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
 
-def sample_counts(
-    rho: DensityMatrix, m: MeasurementSetting, shots: int, seed: int
-) -> CountRecord:
-    """Multinomial draw from the exact outcome distribution; seed-deterministic."""
+def sample_counts(rho: DensityMatrix, shots: int, seeds) -> list[CountRecord]:
+    """One record per setting of ``NONTRIVIAL_SETTINGS``: setting k is a
+    multinomial draw of ``shots`` from its exact outcome distribution, made
+    by the generator of ``seeds[k]``; seed-deterministic."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if m.is_trivial:
-        raise ValueError("the (I, I) setting is trivially 1 and is never sampled")
-    seed = check_seed(seed)
-    draws = make_rng(seed).multinomial(shots, outcome_probabilities(rho, m))
-    return CountRecord(setting=m, counts=draws, shots=int(shots), seed=seed)
+    seeds = [check_seed(seed) for seed in seeds]
+    if len(seeds) != len(NONTRIVIAL_SETTINGS):
+        raise ValueError(f"need one seed per nontrivial setting (15), got {len(seeds)}")
+    table = _outcome_table(rho)[1:]
+    return [
+        CountRecord(m, make_rng(seed).multinomial(shots, p), shots=int(shots), seed=seed)
+        for m, seed, p in zip(NONTRIVIAL_SETTINGS, seeds, table)
+    ]
 
 
 def exact_record(rho: DensityMatrix, m: MeasurementSetting) -> CountRecord:
@@ -275,10 +285,7 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 1e-8) -> Tomogra
     """
     ordered = _collect(records)
     projs, counts, freqs = _measurement_arrays(ordered)
-    rho0 = 0.25 * np.eye(4, dtype=np.complex128)
-    rho_mat, iterations, ll, gap, converged = _kernels.mle_loop(
-        projs, counts, freqs, rho0, max_iter, tol
-    )
+    rho_mat, iterations, ll, gap, converged = _kernels.mle_loop(projs, counts, freqs, max_iter, tol)
     return TomographyResult(
         rho_hat=DensityMatrix(rho_mat),
         iterations=iterations,

@@ -48,11 +48,8 @@ def check(num: int, name: str, ok: bool, detail: str = ""):
 
 
 def tomography_records(state, shots, master_seed):
-    rho = to_density_matrix(state)
-    return [
-        sample_counts(rho, m, shots, derive_seed(master_seed, k))
-        for k, m in enumerate(NONTRIVIAL_SETTINGS)
-    ]
+    seeds = [derive_seed(master_seed, k) for k in range(len(NONTRIVIAL_SETTINGS))]
+    return sample_counts(to_density_matrix(state), shots, seeds)
 
 
 @pytest.fixture(scope="module", autouse=True)

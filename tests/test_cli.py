@@ -6,7 +6,7 @@ import json
 import pytest
 
 from photon_duality import pipeline, scenario_to_dict, tomography
-from photon_duality.cli import main
+from photon_duality.cli import build_parser, main
 from photon_duality.scenarios import default_scenarios, override_shots
 
 
@@ -20,6 +20,27 @@ def config_path(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_cached_parser_carries_no_state(self, config_path, capsys):
+        commands = [
+            ("sphere", "--defaults", "--analytic"),
+            ("sphere", "--config", str(config_path), "--seed", "5"),
+            ("compute", "--defaults"),
+        ]
+        build_parser.cache_clear()
+        in_sequence = []
+        for argv in commands:
+            assert run_cli(*argv) == 0
+            in_sequence.append(capsys.readouterr())
+        for argv, seen in zip(commands, in_sequence):
+            build_parser.cache_clear()
+            assert run_cli(*argv) == 0
+            assert capsys.readouterr() == seen
 
 
 class TestCompute:

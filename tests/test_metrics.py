@@ -18,6 +18,7 @@ from photon_duality import (
     vdc_triple,
     visibility,
 )
+from photon_duality.metrics import _clip01
 
 HALF = math.sqrt(0.5)
 
@@ -77,6 +78,16 @@ class TestEntanglement:
         for _ in range(1000):
             s = random_two_path_state(rng, dim=int(rng.integers(2, 5)))
             assert abs(entanglement(s) - concurrence_pure(schmidt_decompose(s))) < 1e-9
+
+
+class TestClip01:
+    @pytest.mark.parametrize("x, expected", [(-1e-17, 0.0), (0.3, 0.3), (1.0 + 1e-15, 1.0)])
+    def test_shaves_overshoot(self, x, expected):
+        assert _clip01(x) == expected
+
+    def test_nan_stays_nan(self):
+        # max(0.0, nan) is 0.0: a NaN measure must not come out as a bound.
+        assert math.isnan(_clip01(math.nan))
 
 
 class TestTriple:

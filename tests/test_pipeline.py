@@ -1,5 +1,6 @@
 """Scenario loading, the end-to-end pipeline, report emission, sphere points."""
 
+import dataclasses
 import json
 import math
 
@@ -15,7 +16,7 @@ from photon_duality import (
     scenario_to_dict,
     vdc_triple,
 )
-from photon_duality.pipeline import CSV_COLUMNS
+from photon_duality.pipeline import CSV_COLUMNS, _clamp_point
 from photon_duality.scenarios import override_shots, reseed
 
 HALF = math.sqrt(0.5)
@@ -270,3 +271,10 @@ class TestEmission:
             x, y, z = r.sphere_point
             assert 0.0 <= min(x, y, z) and max(x, y, z) <= 1.0
             assert r.sphere_point == tuple(min(1.0, max(0.0, v)) for v in r.estimated.as_tuple())
+
+    def test_nan_estimate_reaches_the_finiteness_check(self, reports):
+        # Clamping once turned a NaN component into 0.0, a plausible point.
+        point = _clamp_point((math.nan, 0.5, 1.5))
+        assert math.isnan(point[0]) and point[1:] == (0.5, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(reports[0], sphere_point=point)

@@ -193,6 +193,24 @@ class TestDensityMatrix:
         unchecked = DensityMatrix(mat, check_positive=False)
         assert not unchecked.is_physical()
 
+    def test_positivity_is_decided_once(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(mat):
+            calls.append(1)
+            return eigvalsh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        checked = to_density_matrix(balanced_state())
+        assert len(calls) == 1  # construction's own check
+        assert checked.is_physical() and checked.is_physical()
+        assert len(calls) == 1
+        mat = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
+        unchecked = DensityMatrix(mat, check_positive=False)
+        assert not unchecked.is_physical() and not unchecked.is_physical()
+        assert len(calls) == 2
+
 
 def marginal(rho, keep):
     """Reduced matrix of the path (2 x 2) or of the internal tag (d x d),

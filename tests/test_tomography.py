@@ -27,6 +27,7 @@ from photon_duality import (
 from photon_duality._kernels import _ULP_SLACK, EPS_MIN, P_FLOOR
 from photon_duality.pipeline import STAGE_TOMOGRAPHY
 from photon_duality.scenarios import default_scenarios, reseed
+from photon_duality.seeding import make_rng
 from photon_duality.tomography import (
     ALL_SETTINGS,
     NONTRIVIAL_SETTINGS,
@@ -156,10 +157,12 @@ def certified_gap(rho_mat, records):
 
 
 def sampled_records(rho, shots, master_seed):
-    return [
-        sample_counts(rho, m, shots, derive_seed(master_seed, k))
-        for k, m in enumerate(NONTRIVIAL_SETTINGS)
-    ]
+    return sample_counts(rho, shots, [derive_seed(master_seed, k) for k in range(15)])
+
+
+def sampled_record(rho, m, shots, seed):
+    """The record of setting ``m`` drawn from ``seed``."""
+    return sample_counts(rho, shots, [seed] * 15)[NONTRIVIAL_SETTINGS.index(m)]
 
 
 ORACLE_INPUT_IDS = [sc.name for sc in default_scenarios()] + ["bell-like"]
@@ -172,10 +175,8 @@ def oracle_input(index):
         return sampled_records(to_density_matrix(bell_like_state()), 50_000, 13)
     sc = reseed(default_scenarios(), 42)[index]
     rho_true = to_density_matrix(sc.to_state())
-    return [
-        sample_counts(rho_true, m, sc.shots, derive_seed(sc.seed, STAGE_TOMOGRAPHY, k))
-        for k, m in enumerate(NONTRIVIAL_SETTINGS)
-    ]
+    seeds = [derive_seed(sc.seed, STAGE_TOMOGRAPHY, k) for k in range(15)]
+    return sample_counts(rho_true, sc.shots, seeds)
 
 
 class TestSettings:
@@ -242,42 +243,62 @@ class TestPauliExpectation:
 
 class TestSampleCounts:
     def test_single_shot_lands_once(self):
-        rec = sample_counts(MIXED, MeasurementSetting("X", "Z"), shots=1, seed=3)
+        rec = sampled_record(MIXED, MeasurementSetting("X", "Z"), shots=1, seed=3)
         assert sorted(rec.counts.tolist()) == [0, 0, 0, 1]
 
     def test_eigenstate_concentrates(self):
         s = TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([1, 0]))
-        rec = sample_counts(to_density_matrix(s), MeasurementSetting("Z", "Z"), 5000, seed=4)
+        rec = sampled_record(to_density_matrix(s), MeasurementSetting("Z", "Z"), 5000, seed=4)
         assert rec.counts[OUTCOMES.index((1, 1))] == 5000
 
     def test_identity_side_outcomes_never_fire(self):
-        rec = sample_counts(MIXED, MeasurementSetting("Z", "I"), 5000, seed=5)
+        rec = sampled_record(MIXED, MeasurementSetting("Z", "I"), 5000, seed=5)
         assert rec.counts[OUTCOMES.index((1, -1))] == 0
         assert rec.counts[OUTCOMES.index((-1, -1))] == 0
 
     def test_empirical_expectation_near_exact(self):
         rho = to_density_matrix(random_two_path_state(np.random.default_rng(41)))
         shots = 100_000
-        for k, m in enumerate(NONTRIVIAL_SETTINGS):
-            rec = sample_counts(rho, m, shots, derive_seed(7, k))
+        for m, rec in zip(NONTRIVIAL_SETTINGS, sampled_records(rho, shots, 7)):
             exact = np.trace(rho.matrix @ pauli_operator(m)).real
             assert abs(expectation(rec) - exact) <= 5 / math.sqrt(shots)
 
     def test_bit_exact_reproducibility(self):
         rho = to_density_matrix(bell_like_state())
-        a = sample_counts(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
-        b = sample_counts(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
+        a = sampled_record(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
+        b = sampled_record(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
         assert np.array_equal(a.counts, b.counts) and a.seed == b.seed
 
     def test_counts_are_integers_summing_to_shots(self):
-        rec = sample_counts(MIXED, MeasurementSetting("Y", "Y"), 777, seed=6)
+        rec = sampled_record(MIXED, MeasurementSetting("Y", "Y"), 777, seed=6)
         assert rec.counts.shape == (4,) and rec.counts.dtype == np.int64
         assert rec.counts.sum() == 777
         assert not rec.counts.flags.writeable
 
-    def test_trivial_setting_rejected(self):
-        with pytest.raises(ValueError, match="never sampled"):
-            sample_counts(MIXED, MeasurementSetting("I", "I"), 100, seed=0)
+    @pytest.mark.parametrize("shots", [1, 4000, 100_000])
+    def test_one_draw_per_setting_from_its_own_seed(self, shots):
+        # Setting k's counts are exactly the multinomial draw of seeds[k]'s
+        # generator from that setting's own 4-row contraction.
+        rng = np.random.default_rng(shots)
+        stack = np.array([p for m in ALL_SETTINGS for p in m.outcome_projectors()])
+        for i in range(20):
+            rho = to_density_matrix(random_two_path_state(rng))
+            seeds = [derive_seed(shots, i, k) for k in range(15)]
+            records = sample_counts(rho, shots, seeds)
+            assert [rec.setting for rec in records] == list(NONTRIVIAL_SETTINGS)
+            for k, rec in enumerate(records):
+                row = 4 * (k + 1)
+                p = np.einsum("kab,ba->k", stack[row : row + 4], rho.matrix).real
+                p = np.clip(p, 0.0, None)
+                p = p / p.sum()
+                assert np.array_equal(outcome_probabilities(rho, rec.setting), p)
+                expected = make_rng(seeds[k]).multinomial(shots, p)
+                assert np.array_equal(rec.counts, expected)
+                assert rec.seed == seeds[k] and rec.shots == shots
+
+    def test_one_seed_per_setting_required(self):
+        with pytest.raises(ValueError, match="one seed per nontrivial setting"):
+            sample_counts(MIXED, 100, list(range(14)))
 
     def test_exact_record_matches_distribution(self):
         rho = to_density_matrix(bell_like_state())
@@ -454,10 +475,9 @@ class TestMLE:
         # the gradient of sum_k counts_k log p_k, or the iteration freezes
         # short of the optimum that the likelihood acceptance targets.
         rho = to_density_matrix(random_two_path_state(np.random.default_rng(5)))
-        recs = [
-            sample_counts(rho, m, 500 if k % 2 else 50_000, 100 + k)
-            for k, m in enumerate(NONTRIVIAL_SETTINGS)
-        ]
+        seeds = [100 + k for k in range(15)]
+        low, high = sample_counts(rho, 500, seeds), sample_counts(rho, 50_000, seeds)
+        recs = [low[k] if k % 2 else high[k] for k in range(15)]
         result = mle_reconstruct(recs, max_iter=10_000)
         assert result.converged and result.gap < 1e-8
         assert certified_gap(result.rho_hat.matrix, recs) < 1e-8
