@@ -58,7 +58,6 @@ from .tomography import (
     TomographyResult,
     estimate_vdc_from_rho,
     exact_record,
-    linear_inversion,
     mle_reconstruct,
     outcome_probabilities,
     sample_counts,

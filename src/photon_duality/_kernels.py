@@ -66,13 +66,6 @@ def _log_likelihood(counts: np.ndarray, p: np.ndarray) -> float:
     return float(counts @ np.log(p))
 
 
-def log_likelihood(projs: np.ndarray, counts: np.ndarray, rho: np.ndarray) -> float:
-    """Log-likelihood of ``rho`` for ``counts``, as ``mle_loop`` computes it."""
-    rho = np.ascontiguousarray(rho, dtype=np.complex128)
-    counts = np.asarray(counts, dtype=np.float64)
-    return _log_likelihood(counts, _probabilities(_real_rows(projs), rho))
-
-
 def mle_loop(projs, counts, freqs, max_iter: int, tol: float):
     """Run the accelerated fixed-point iteration from the maximally mixed state.
 

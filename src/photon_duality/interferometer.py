@@ -43,13 +43,11 @@ def phase_grid(n: int = DEFAULT_PHASE_POINTS) -> np.ndarray:
 class FringeScan:
     """Detection probability sampled (or evaluated exactly) over a phase grid.
 
-    ``shots_per_point`` is 0 for exact scans and >= 1 for Monte Carlo ones;
-    ``noisy`` must agree with it.
+    ``shots_per_point`` is 0 for exact scans and >= 1 for Monte Carlo ones.
     """
 
     phases: np.ndarray
     probabilities: np.ndarray
-    noisy: bool
     shots_per_point: int
 
     def __post_init__(self):
@@ -65,14 +63,17 @@ class FringeScan:
             raise ValueError("phases must be strictly increasing")
         if np.any(probs < 0.0) or np.any(probs > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
-        if self.noisy != (self.shots_per_point > 0):
-            raise ValueError("noisy flag inconsistent with shots_per_point")
         if self.shots_per_point < 0:
             raise ValueError("shots_per_point must be >= 0")
         phases.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "probabilities", probs)
+
+    @property
+    def noisy(self) -> bool:
+        """True for a Monte Carlo scan."""
+        return self.shots_per_point > 0
 
 
 def detection_probabilities(s: TwoPathState, phases: np.ndarray) -> np.ndarray:
@@ -93,7 +94,6 @@ def fringe_scan(s: TwoPathState, phases: np.ndarray | None = None) -> FringeScan
     return FringeScan(
         phases=phases,
         probabilities=detection_probabilities(s, phases),
-        noisy=False,
         shots_per_point=0,
     )
 
@@ -114,7 +114,6 @@ def sample_fringe_scan(
     return FringeScan(
         phases=phases,
         probabilities=counts / float(shots_per_point),
-        noisy=True,
         shots_per_point=int(shots_per_point),
     )
 

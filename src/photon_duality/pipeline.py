@@ -69,7 +69,6 @@ class RunReport:
     analytic: DualityTriple
     estimated: DualityTriple
     tomographic: DualityTriple
-    sphere_point: tuple[float, float, float]
     fit_rmse: float
     mle_iterations: int
     mle_converged: bool
@@ -84,13 +83,17 @@ class RunReport:
             self.estimated.residual,
             *self.tomographic.as_tuple(),
             self.tomographic.residual,
-            *self.sphere_point,
             self.fit_rmse,
             self.mle_gap,
             self.fidelity,
         ]
         if not np.all(np.isfinite(numerics)):
             raise ValueError(f"report for {self.name!r} contains non-finite values")
+
+    @property
+    def sphere_point(self) -> tuple[float, float, float]:
+        """The estimated triple, each component clamped into [0, 1]."""
+        return _clamp_point(self.estimated.as_tuple())
 
 
 def run_pipeline(sc: Scenario) -> RunReport:
@@ -128,7 +131,6 @@ def run_pipeline(sc: Scenario) -> RunReport:
         analytic=analytic,
         estimated=estimated,
         tomographic=tomographic,
-        sphere_point=_clamp_point(estimated.as_tuple()),
         fit_rmse=fit.rmse,
         mle_iterations=tomo.iterations,
         mle_converged=tomo.converged,

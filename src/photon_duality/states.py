@@ -21,7 +21,7 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -197,20 +197,16 @@ def concurrence_pure(sd: SchmidtDecomposition) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """2d x 2d Hermitian, unit-trace operator in the path-major basis.
+    """2d x 2d physical density matrix in the path-major basis.
 
-    Hermiticity and unit trace are always enforced.  Positivity (eigenvalues
-    >= -PSD_ATOL) is checked by default; linear-inversion tomography passes
-    ``check_positive=False`` because its output is allowed to dip below zero.
-    The answer is kept, so ``is_physical`` runs at most one eigensolve per
-    matrix, and none on a checked one.
+    Construction enforces Hermiticity, unit trace and positivity
+    (eigenvalues >= -PSD_ATOL, one eigensolve), so every instance is a
+    physical state and nothing downstream checks again.
     """
 
     matrix: np.ndarray
-    check_positive: InitVar[bool] = True
-    _physical: bool | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self, check_positive: bool):
+    def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
@@ -225,23 +221,10 @@ class DensityMatrix:
         trace_err = abs(np.trace(mat).real - 1.0) + abs(np.trace(mat).imag)
         if trace_err > MATRIX_ATOL:
             raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
-        if check_positive:
-            if not _is_psd(mat):
-                raise ValueError(
-                    f"density matrix has eigenvalues below -{PSD_ATOL} (not physical)"
-                )
-            object.__setattr__(self, "_physical", True)
+        if float(np.linalg.eigvalsh(mat)[0]) < -PSD_ATOL:
+            raise ValueError(f"density matrix has eigenvalues below -{PSD_ATOL} (not physical)")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    def is_physical(self) -> bool:
-        if self._physical is None:
-            object.__setattr__(self, "_physical", _is_psd(self.matrix))
-        return self._physical
-
-
-def _is_psd(mat: np.ndarray) -> bool:
-    return float(np.linalg.eigvalsh(mat)[0]) >= -PSD_ATOL
 
 
 def to_density_matrix(s: TwoPathState) -> DensityMatrix:
@@ -259,9 +242,8 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
 
     C = max(0, sqrt(e1) - sqrt(e2) - sqrt(e3) - sqrt(e4)) with e_i the
     descending eigenvalues of rho * (Y(x)Y) conj(rho) (Y(x)Y).  Defined for
-    d = 2 only.  Roundoff negatives in the spectrum (within the physicality
-    tolerance) are clamped to zero; anything lower is rejected as
-    non-physical input.
+    d = 2 only.  Roundoff negatives in the spectrum (within ``PSD_ATOL``,
+    the most a ``DensityMatrix`` admits) are clamped to zero.
 
     The sqrt(e_i) are evaluated as singular values of A^dag (Y(x)Y) conj(A)
     with rho = A A^dag, which is the same spectrum without the precision
@@ -271,8 +253,6 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
         raise ValueError(
             f"Wootters concurrence needs a 4 x 4 matrix (d = 2), got {rho.matrix.shape}"
         )
-    if not rho.is_physical():
-        raise ValueError("Wootters concurrence input is not physical within tolerance")
     evals, vecs = np.linalg.eigh(rho.matrix)
     factor = vecs * np.sqrt(np.clip(evals, 0.0, None))
     roots = np.linalg.svd(factor.conj().T @ _YY @ factor.conj(), compute_uv=False)

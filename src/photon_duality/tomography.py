@@ -12,20 +12,17 @@ marginal of the other qubit.
 Counts are held one way: a read-only (4,) array per setting, ordered as
 ``OUTCOMES``.
 
-Reconstruction routes:
-  * linear inversion - Pauli-basis expansion with empirical expectations;
-    exactly invertible, but shot noise can push eigenvalues below zero.
-  * maximum likelihood - reweighted sandwich updates R rho R on a factor of
-    the state, accelerated by SQUAREM extrapolation, starting at the
-    maximally mixed state and stopping on a certified likelihood gap;
-    always physical.  The inner loop lives in ``_kernels``.
+Reconstruction is maximum likelihood: reweighted sandwich updates R rho R
+on a factor of the state, accelerated by SQUAREM extrapolation, starting at
+the maximally mixed state and stopping on a certified likelihood gap, so the
+estimate is always physical.  The inner loop lives in ``_kernels``.
 
 All 64 outcome projectors (16 settings x 4 outcomes) form one read-only
-stack, built on first use and shared by the outcome table, linear inversion
-(its estimate and its likelihood) and the MLE loop; the last two read the
-60 rows of the nontrivial settings.  The outcome table is one contraction of
-that stack with rho: the (16, 4) outcome distributions of all settings,
-from which both count sampling and ``exact_record`` read their rows.
+stack, built on first use and shared by the outcome table and the MLE loop,
+which reads the 60 rows of the nontrivial settings.  The outcome table is
+one contraction of that stack with rho: the (16, 4) outcome distributions
+of all settings, from which both count sampling and ``exact_record`` read
+their rows.
 
 One ``sample_counts`` call draws a whole record set, one multinomial per
 nontrivial setting from that setting's own seed, so counts are reproducible
@@ -57,8 +54,6 @@ for _m in PAULI.values():
     _m.setflags(write=False)
 
 OUTCOMES: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-# Eigenvalue s * t of sigma_path (x) sigma_internal on each outcome.
-_SIGNS = np.array([s * t for s, t in OUTCOMES], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,6 @@ class CountRecord:
     setting: MeasurementSetting
     counts: np.ndarray
     shots: int
-    seed: int
 
     def __post_init__(self):
         if self.shots < 1:
@@ -179,7 +173,7 @@ def sample_counts(rho: DensityMatrix, shots: int, seeds) -> list[CountRecord]:
         raise ValueError(f"need one seed per nontrivial setting (15), got {len(seeds)}")
     table = _outcome_table(rho)[1:]
     return [
-        CountRecord(m, make_rng(seed).multinomial(shots, p), shots=int(shots), seed=seed)
+        CountRecord(m, make_rng(seed).multinomial(shots, p), shots=int(shots))
         for m, seed, p in zip(NONTRIVIAL_SETTINGS, seeds, table)
     ]
 
@@ -188,17 +182,15 @@ def exact_record(rho: DensityMatrix, m: MeasurementSetting) -> CountRecord:
     """Infinite-shot record: fractional counts equal to the exact distribution."""
     if m.is_trivial:
         raise ValueError("the (I, I) setting is trivially 1 and is never recorded")
-    return CountRecord(setting=m, counts=outcome_probabilities(rho, m), shots=1, seed=0)
+    return CountRecord(setting=m, counts=outcome_probabilities(rho, m), shots=1)
 
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """A reconstructed state and what its route can vouch for.
+    """A maximum-likelihood state and what the run can vouch for.
 
-    For ``mle_reconstruct``, ``gap`` is the certified log-likelihood
-    shortfall per count and ``converged`` is ``gap < tol``.  Linear
-    inversion certifies nothing: it reports ``iterations = 0``,
-    ``converged = False`` and ``gap = NaN``.
+    ``gap`` is the certified log-likelihood shortfall per count of
+    ``rho_hat`` and ``converged`` is ``gap < tol``.
     """
 
     rho_hat: DensityMatrix
@@ -237,32 +229,6 @@ def _measurement_arrays(ordered: list[CountRecord]):
     counts = np.stack([rec.counts for rec in ordered]).astype(np.float64)
     mean_shots = sum(rec.shots for rec in ordered) / len(ordered)
     return _projector_stack()[4:], counts.reshape(-1), counts.reshape(-1) / mean_shots
-
-
-def linear_inversion(records) -> TomographyResult:
-    """Pauli-basis inversion from empirical expectations.
-
-    rho = I/4 + 1/4 sum_m e_m sigma_m, with e_m = counts_m . (s t) / shots_m
-    the empirical expectation of setting m.  Since sum_o (s t)_o P_{m,o} is
-    sigma_path (x) sigma_internal for every setting, identity factors
-    included, the sum is one contraction over the projector stack.
-
-    Exact on exact records; on sampled records the estimate is Hermitian and
-    unit trace but may have (slightly) negative eigenvalues, so the returned
-    density matrix skips the positivity check.
-    """
-    ordered = _collect(records)
-    projs, counts, _ = _measurement_arrays(ordered)
-    shots = np.array([rec.shots for rec in ordered], dtype=np.float64)
-    weights = np.outer(counts.reshape(-1, len(OUTCOMES)) @ _SIGNS / shots, _SIGNS)
-    rho_mat = 0.25 * (np.eye(4) + np.tensordot(weights.reshape(-1), projs, axes=1))
-    return TomographyResult(
-        rho_hat=DensityMatrix(rho_mat, check_positive=False),
-        iterations=0,
-        log_likelihood=_kernels.log_likelihood(projs, counts, rho_mat),
-        converged=False,
-        gap=math.nan,
-    )
 
 
 def mle_reconstruct(records, max_iter: int = 2000, tol: float = 1e-8) -> TomographyResult:
@@ -306,8 +272,6 @@ def estimate_vdc_from_rho(rho_hat: DensityMatrix) -> DualityTriple:
     as-is: nothing forces a reconstructed state onto the unit sphere.
     """
     _require_two_qubits(rho_hat)
-    if not rho_hat.is_physical():
-        raise ValueError("duality estimation needs a physical density matrix")
     mat = rho_hat.matrix
     p_a = float(np.trace(mat[:2, :2]).real)
     p_b = float(np.trace(mat[2:, 2:]).real)

@@ -104,13 +104,13 @@ class TestFringeScan:
     def test_validation(self):
         grid = phase_grid(16)
         with pytest.raises(ValueError, match="at least 8"):
-            FringeScan(grid[:4], np.full(4, 0.5), noisy=False, shots_per_point=0)
+            FringeScan(grid[:4], np.full(4, 0.5), shots_per_point=0)
         with pytest.raises(ValueError, match="increasing"):
-            FringeScan(grid[::-1], np.full(16, 0.5), noisy=False, shots_per_point=0)
+            FringeScan(grid[::-1], np.full(16, 0.5), shots_per_point=0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            FringeScan(grid, np.full(16, 1.5), noisy=False, shots_per_point=0)
-        with pytest.raises(ValueError, match="inconsistent"):
-            FringeScan(grid, np.full(16, 0.5), noisy=True, shots_per_point=0)
+            FringeScan(grid, np.full(16, 1.5), shots_per_point=0)
+        with pytest.raises(ValueError, match=">= 0"):
+            FringeScan(grid, np.full(16, 0.5), shots_per_point=-1)
 
     def test_sampled_scan_is_seed_deterministic(self):
         s = state_with_overlap(HALF, HALF, 0.5)
@@ -149,7 +149,7 @@ class TestVisibilityExtraction:
         base = fit_fringe(base_scan)
         shift = 1.234
         relabeled = FringeScan(
-            base_scan.phases + shift, base_scan.probabilities, noisy=False, shots_per_point=0
+            base_scan.phases + shift, base_scan.probabilities, shots_per_point=0
         )
         shifted = fit_fringe(relabeled)
         assert shifted.v_hat == pytest.approx(base.v_hat, abs=1e-9)
@@ -168,12 +168,12 @@ class TestVisibilityExtraction:
 
     def test_insufficient_span_rejected(self):
         grid = np.linspace(0, math.pi, 16)  # only half a period
-        scan = FringeScan(grid, np.full(16, 0.5), noisy=False, shots_per_point=0)
+        scan = FringeScan(grid, np.full(16, 0.5), shots_per_point=0)
         with pytest.raises(ValueError, match="span"):
             fit_fringe(scan)
 
     def test_degenerate_scan_rejected(self):
-        scan = FringeScan(phase_grid(16), np.zeros(16), noisy=False, shots_per_point=0)
+        scan = FringeScan(phase_grid(16), np.zeros(16), shots_per_point=0)
         with pytest.raises(ValueError, match="degenerate"):
             fit_fringe(scan)
 

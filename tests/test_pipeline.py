@@ -276,5 +276,6 @@ class TestEmission:
         # Clamping once turned a NaN component into 0.0, a plausible point.
         point = _clamp_point((math.nan, 0.5, 1.5))
         assert math.isnan(point[0]) and point[1:] == (0.5, 1.0)
+        nan_visibility = dataclasses.replace(reports[0].estimated, visibility=math.nan)
         with pytest.raises(ValueError, match="non-finite"):
-            dataclasses.replace(reports[0], sphere_point=point)
+            dataclasses.replace(reports[0], estimated=nan_visibility)

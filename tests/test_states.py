@@ -14,6 +14,7 @@ from photon_duality import (
     TwoPathState,
     coefficient_matrix,
     concurrence_pure,
+    estimate_vdc_from_rho,
     internal_overlap,
     overlap,
     pure_state_fidelity,
@@ -23,6 +24,7 @@ from photon_duality import (
     to_density_matrix,
     wootters_concurrence,
 )
+from photon_duality.states import PSD_ATOL
 
 HALF = math.sqrt(0.5)
 
@@ -190,10 +192,10 @@ class TestDensityMatrix:
         mat = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
         with pytest.raises(ValueError, match="physical"):
             DensityMatrix(mat)
-        unchecked = DensityMatrix(mat, check_positive=False)
-        assert not unchecked.is_physical()
 
     def test_positivity_is_decided_once(self, monkeypatch):
+        # Construction checks positivity; reading the triple off the state
+        # (Wootters concurrence included) does not check it again.
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -202,14 +204,56 @@ class TestDensityMatrix:
             return eigvalsh(mat)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        checked = to_density_matrix(balanced_state())
-        assert len(calls) == 1  # construction's own check
-        assert checked.is_physical() and checked.is_physical()
+        estimate_vdc_from_rho(to_density_matrix(balanced_state()))
         assert len(calls) == 1
-        mat = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
-        unchecked = DensityMatrix(mat, check_positive=False)
-        assert not unchecked.is_physical() and not unchecked.is_physical()
-        assert len(calls) == 2
+
+
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def random_rho(rng, rank):
+    """Random 4 x 4 density matrix of the given rank: G G^H / Tr(G G^H)
+    with G a complex Gaussian 4 x rank matrix."""
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestMixedStates:
+    """Every physical two-qubit state lies inside the unit sphere,
+    V^2 + D^2 + C^2 <= 1 (Jakob & Bergou, PRA 76, 052107, 2007), and no
+    non-physical matrix becomes a ``DensityMatrix``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    def test_physical_states_stay_inside_the_sphere(self, seed, rank):
+        rho = DensityMatrix(random_rho(np.random.default_rng(seed), rank))
+        residual = estimate_vdc_from_rho(rho).residual
+        assert residual <= 1e-12
+        if rank == 1:  # a pure state lies on the sphere
+            assert abs(residual) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.sampled_from([0.5, 2.0, 1e3, 1e6]),
+    )
+    def test_positivity_tolerance_is_the_boundary(self, seed, depth):
+        # One eigenvalue at -depth * PSD_ATOL, the rest positive, unit trace.
+        rng = np.random.default_rng(seed)
+        evals = rng.uniform(0.1, 1.0, size=4)
+        evals[0] = -depth * PSD_ATOL
+        evals[1:] *= (1.0 - evals[0]) / evals[1:].sum()
+        u = random_unitary(rng, 4)
+        mat = (u * evals) @ u.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+        if depth < 1.0:
+            assert DensityMatrix(mat).matrix.shape == (4, 4)
+        else:
+            with pytest.raises(ValueError, match="not physical"):
+                DensityMatrix(mat)
 
 
 def marginal(rho, keep):
@@ -271,14 +315,20 @@ class TestWoottersConcurrence:
             via_wootters = wootters_concurrence(to_density_matrix(s))
             assert abs(via_schmidt - via_wootters) < 1e-9
 
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0])
+    def test_werner_states(self, p):
+        # p |Bell><Bell| + (1 - p) I/4 has C = max(0, (3p - 1) / 2), which
+        # needs all four spin-flip roots; local unitaries leave C unchanged.
+        bell = to_density_matrix(balanced_state()).matrix
+        rng = np.random.default_rng(17)
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        mat = u @ (p * bell + (1 - p) * np.eye(4) / 4) @ u.conj().T
+        rho = DensityMatrix(0.5 * (mat + mat.conj().T))
+        assert wootters_concurrence(rho) == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=1e-12)
+
     def test_rejects_higher_dimension(self):
         rho = to_density_matrix(random_two_path_state(np.random.default_rng(0), dim=3))
         with pytest.raises(ValueError, match="4 x 4"):
-            wootters_concurrence(rho)
-
-    def test_rejects_non_physical(self):
-        rho = DensityMatrix(np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex), check_positive=False)
-        with pytest.raises(ValueError, match="physical"):
             wootters_concurrence(rho)
 
 

@@ -1,4 +1,4 @@
-"""Pauli sampling, linear inversion, MLE reconstruction, triple extraction."""
+"""Pauli sampling, MLE reconstruction, triple extraction."""
 
 import functools
 import math
@@ -15,7 +15,6 @@ from photon_duality import (
     derive_seed,
     estimate_vdc_from_rho,
     exact_record,
-    linear_inversion,
     mle_reconstruct,
     outcome_probabilities,
     pure_state_fidelity,
@@ -127,19 +126,6 @@ def oracle_reconstruct(records, max_iter=2000, tol=1e-10):
     return _mle_loop_numpy(*oracle_arrays(records), rho0, max_iter, tol)
 
 
-def oracle_log_likelihood(rho_mat, records):
-    """Per-setting masked log-likelihood, as ``linear_inversion`` once computed it."""
-    ll = 0.0
-    for rec in _collect(records):
-        p = np.array(
-            [np.trace(rho_mat @ proj).real for proj in rec.setting.outcome_projectors()]
-        )
-        p = np.maximum(p, P_FLOOR)
-        n = rec.counts
-        ll += float(np.sum(n[n > 0] * np.log(p[n > 0])))
-    return ll
-
-
 @functools.cache
 def oracle_optimum(index):
     """(rho, iterations, log-likelihood, converged) of the oracle run to
@@ -205,8 +191,7 @@ class TestSettings:
 
 
 class TestPauliExpectation:
-    """A Pauli expectation is the sign-weighted outcome distribution, the
-    quantity linear inversion reads off each record."""
+    """A Pauli expectation is the sign-weighted outcome distribution."""
 
     def test_trivial_setting(self):
         rho = to_density_matrix(bell_like_state())
@@ -267,7 +252,7 @@ class TestSampleCounts:
         rho = to_density_matrix(bell_like_state())
         a = sampled_record(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
         b = sampled_record(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
-        assert np.array_equal(a.counts, b.counts) and a.seed == b.seed
+        assert np.array_equal(a.counts, b.counts)
 
     def test_counts_are_integers_summing_to_shots(self):
         rec = sampled_record(MIXED, MeasurementSetting("Y", "Y"), 777, seed=6)
@@ -294,7 +279,11 @@ class TestSampleCounts:
                 assert np.array_equal(outcome_probabilities(rho, rec.setting), p)
                 expected = make_rng(seeds[k]).multinomial(shots, p)
                 assert np.array_equal(rec.counts, expected)
-                assert rec.seed == seeds[k] and rec.shots == shots
+                assert rec.shots == shots
+
+    def test_maximally_mixed_expectations_small(self):
+        for rec in sampled_records(MIXED, 100_000, 9):
+            assert abs(expectation(rec)) < 5 / math.sqrt(100_000)
 
     def test_one_seed_per_setting_required(self):
         with pytest.raises(ValueError, match="one seed per nontrivial setting"):
@@ -323,55 +312,22 @@ class TestSampleCounts:
         # A NaN count once passed (NaN < 0 and |NaN - shots| > tol are both
         # false) and crashed the MLE's eigensolver downstream.
         with pytest.raises(ValueError, match=message):
-            CountRecord(MeasurementSetting("X", "Z"), np.array(counts, dtype=float), 100, seed=0)
+            CountRecord(MeasurementSetting("X", "Z"), np.array(counts, dtype=float), 100)
 
 
-class TestLinearInversion:
-    def test_exact_records_recover_state(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            rho = to_density_matrix(random_two_path_state(rng))
-            recs = [exact_record(rho, m) for m in NONTRIVIAL_SETTINGS]
-            result = linear_inversion(recs)
-            assert np.max(np.abs(result.rho_hat.matrix - rho.matrix)) < 1e-12
-            assert result.iterations == 0 and not result.converged and math.isnan(result.gap)
-
+class TestMLE:
     def test_missing_setting_rejected(self):
         rho = to_density_matrix(bell_like_state())
         recs = [exact_record(rho, m) for m in NONTRIVIAL_SETTINGS[:-1]]
         with pytest.raises(ValueError, match="missing"):
-            linear_inversion(recs)
+            mle_reconstruct(recs)
 
     def test_duplicate_setting_rejected(self):
         rho = to_density_matrix(bell_like_state())
         recs = [exact_record(rho, m) for m in NONTRIVIAL_SETTINGS]
         with pytest.raises(ValueError, match="duplicate"):
-            linear_inversion(recs + [recs[0]])
+            mle_reconstruct(recs + [recs[0]])
 
-    def test_sampled_pure_state_high_fidelity(self):
-        s = bell_like_state()
-        result = linear_inversion(sampled_records(to_density_matrix(s), 100_000, 8))
-        assert pure_state_fidelity(result.rho_hat, s) >= 0.98
-
-    def test_log_likelihood_matches_per_setting_formula(self):
-        rng = np.random.default_rng(47)
-        for master in range(20):
-            rho = to_density_matrix(random_two_path_state(rng))
-            recs = sampled_records(rho, 2_000, 100 + master)
-            result = linear_inversion(recs)
-            assert result.log_likelihood == pytest.approx(
-                oracle_log_likelihood(result.rho_hat.matrix, recs), rel=1e-12
-            )
-
-    def test_maximally_mixed_expectations_small(self):
-        recs = sampled_records(MIXED, 100_000, 9)
-        for rec in recs:
-            assert abs(expectation(rec)) < 5 / math.sqrt(100_000)
-        result = linear_inversion(recs)
-        assert np.max(np.abs(result.rho_hat.matrix - MIXED.matrix)) < 0.01
-
-
-class TestMLE:
     def test_exact_records_fixed_point_near_truth(self):
         s = random_two_path_state(np.random.default_rng(43))
         rho = to_density_matrix(s)
@@ -520,10 +476,3 @@ class TestEstimateFromRho:
         triple = estimate_vdc_from_rho(MIXED)
         assert triple.as_tuple() == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
         assert triple.residual == pytest.approx(-1.0, abs=1e-12)
-
-    def test_rejects_non_physical(self):
-        rho = DensityMatrix(
-            np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex), check_positive=False
-        )
-        with pytest.raises(ValueError, match="physical"):
-            estimate_vdc_from_rho(rho)
