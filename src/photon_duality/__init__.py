@@ -10,7 +10,6 @@ noise, and checks that the three measures land on the unit sphere
 from .interferometer import (
     FringeFit,
     FringeScan,
-    block_arm,
     detection_probabilities,
     fit_fringe,
     fringe_scan,
@@ -36,12 +35,10 @@ from .seeding import derive_seed, make_rng
 from .states import (
     DensityMatrix,
     InternalState,
-    PathLabel,
     SchmidtDecomposition,
     TwoPathState,
     coefficient_matrix,
     concurrence_pure,
-    internal_overlap,
     overlap,
     pure_state_fidelity,
     random_two_path_state,

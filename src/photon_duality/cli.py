@@ -87,7 +87,7 @@ def _load(args) -> list:
 
 
 def _cmd_compute(args, scenarios) -> None:
-    triples = [(sc.name, vdc_triple(sc.to_state())) for sc in scenarios]
+    triples = [(sc.name, vdc_triple(sc.state)) for sc in scenarios]
     emit_table(
         ["name", "V", "D", "C", "residual"],
         ([name, *t.as_tuple(), t.residual] for name, t in triples),
@@ -100,7 +100,7 @@ def _cmd_compute(args, scenarios) -> None:
 def _cmd_fringes(args, scenarios) -> None:
     if args.shots == 0:
         scans = [
-            (sc.name, fringe_scan(sc.to_state(), phase_grid(sc.phase_points))) for sc in scenarios
+            (sc.name, fringe_scan(sc.state, phase_grid(sc.phase_points))) for sc in scenarios
         ]
     else:
         scans = [(sc.name, sample_fringe(sc)) for sc in scenarios]
@@ -139,7 +139,7 @@ def _cmd_experiment(args, scenarios) -> None:
 
 def _cmd_sphere(args, scenarios) -> None:
     if args.analytic:
-        points = [(sc.name, vdc_triple(sc.to_state()).as_tuple()) for sc in scenarios]
+        points = [(sc.name, vdc_triple(sc.state).as_tuple()) for sc in scenarios]
     else:
         points = [(r.name, r.sphere_point) for r in _run(scenarios)]
     emit_table(

@@ -1,4 +1,4 @@
-"""Mach-Zehnder model: fringes, visibility fitting, arm blocking.
+"""Mach-Zehnder model: fringes and visibility fitting.
 
 The recombiner is an ideal lossless 50/50 splitter.  With relative arm phase
 ``phi`` applied to arm A, the detection probability at the "+" port, the one
@@ -13,7 +13,8 @@ for reporting only, never on storage).
 
 Visibility is extracted from a scan by linear least squares on the basis
 {1, cos phi, sin phi}, which solves the model form exactly and degrades
-gracefully under shot noise.
+gracefully under shot noise.  Arm blocking needs no model here: blocking
+one arm leaves the other arm's path probability |c|^2.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import PathLabel, TwoPathState
+from .states import TwoPathState
 
 DEFAULT_PHASE_POINTS = 64
 MIN_PHASE_POINTS = 8
+# A scenario's scan stops here: 2**20 points of d = 2 amplitudes take 32 MiB.
+MAX_PHASE_POINTS = 2**20
 # A scan must cover at least this fraction of a full period to be fittable.
 MIN_SPAN = 2.0 * math.pi * 7.0 / 8.0
 
@@ -151,16 +154,3 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     rmse = float(np.sqrt(np.mean(residuals**2)))
     v_hat = min(1.0, max(0.0, amplitude / a0))
     return FringeFit(v_hat=v_hat, theta0_hat=theta0, offset=a0, amplitude=amplitude, rmse=rmse)
-
-
-def block_arm(s: TwoPathState, blocked: PathLabel) -> float:
-    """Probability that the photon survives when one arm is blocked.
-
-    Blocking A leaves p_b, blocking B leaves p_a; together the two blocking
-    runs recover the path probabilities used for distinguishability.
-    """
-    if blocked == PathLabel.A:
-        return abs(s.c_b) ** 2
-    if blocked == PathLabel.B:
-        return abs(s.c_a) ** 2
-    raise ValueError(f"unknown arm {blocked!r}")

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import FringeScan, block_arm, fit_fringe, phase_grid, sample_fringe_scan
+from .interferometer import FringeScan, fit_fringe, phase_grid, sample_fringe_scan
 from .metrics import DualityTriple, _clip01, vdc_triple
 from .scenarios import Scenario
 from .seeding import derive_seed, make_rng
-from .states import PathLabel, pure_state_fidelity, to_density_matrix
+from .states import pure_state_fidelity, to_density_matrix
 from .tomography import NONTRIVIAL_SETTINGS, estimate_vdc_from_rho, mle_reconstruct, sample_counts
 
 # Stage tags mixed into the scenario seed; fixed, or reproducibility breaks.
@@ -98,7 +98,7 @@ class RunReport:
 
 def run_pipeline(sc: Scenario) -> RunReport:
     """Simulate the full experiment for one scenario."""
-    state = sc.to_state()
+    state = sc.state
     if state.dim != 2:
         raise ValueError(f"scenario {sc.name!r}: pipeline tomography needs d = 2")
     analytic = vdc_triple(state)
@@ -108,8 +108,8 @@ def run_pipeline(sc: Scenario) -> RunReport:
     fit = fit_fringe(sample_fringe(sc))
 
     # Arm blocking -> distinguishability.  Blocking A leaves arm B's photons.
-    p_b_hat = _surviving_fraction(block_arm(state, PathLabel.A), sc.shots, sc.seed, 0)
-    p_a_hat = _surviving_fraction(block_arm(state, PathLabel.B), sc.shots, sc.seed, 1)
+    p_b_hat = _surviving_fraction(abs(state.c_b) ** 2, sc.shots, sc.seed, 0)
+    p_a_hat = _surviving_fraction(abs(state.c_a) ** 2, sc.shots, sc.seed, 1)
     d_est = abs(p_a_hat - p_b_hat)
 
     # Tomography -> concurrence (plus the all-tomographic triple).
@@ -142,7 +142,7 @@ def run_pipeline(sc: Scenario) -> RunReport:
 def sample_fringe(sc: Scenario) -> FringeScan:
     """The scenario's seeded Monte Carlo fringe scan (``shots`` per phase point)."""
     rng = make_rng(derive_seed(sc.seed, STAGE_FRINGE))
-    return sample_fringe_scan(sc.to_state(), sc.shots, rng, phases=phase_grid(sc.phase_points))
+    return sample_fringe_scan(sc.state, sc.shots, rng, phases=phase_grid(sc.phase_points))
 
 
 def _surviving_fraction(p: float, shots: int, seed: int, arm_index: int) -> float:

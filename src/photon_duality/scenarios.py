@@ -1,11 +1,13 @@
 """Scenario definitions: named experiment configurations.
 
-A scenario pins down one source state (path amplitudes plus the two
-polarization states), the Monte Carlo budget, and the master seed.  Scenario
-files are plain JSON: a top-level array of objects whose field names match
-``Scenario`` exactly.  Complex numbers are written as [re, im] pairs (a bare
-number is accepted as purely real, JSON ``true``/``false`` are not);
-``phi_a``/``phi_b`` are 2-vectors of such pairs.
+A scenario pins down one source state, held as its validated
+``TwoPathState`` (path amplitudes plus the two polarization states), the
+Monte Carlo budget, and the master seed.  Scenario files are plain JSON: a
+top-level array of objects with the fields ``name``, ``c_a``, ``c_b``,
+``phi_a``, ``phi_b``, ``shots``, ``phase_points`` and ``seed``.  Complex
+numbers are written as [re, im] pairs (a bare number is accepted as purely
+real, JSON ``true``/``false`` are not); ``phi_a``/``phi_b`` are 2-vectors of
+such pairs.
 
 The built-in default set holds seven constructed states: five balanced ones
 whose overlap magnitude steps through {0, 0.38, 0.71, 0.92, 1} (the zero-
@@ -22,9 +24,9 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .interferometer import DEFAULT_PHASE_POINTS, MIN_PHASE_POINTS
+from .interferometer import DEFAULT_PHASE_POINTS, MAX_PHASE_POINTS, MIN_PHASE_POINTS
 from .seeding import check_seed, derive_seed
-from .states import InternalState, TwoPathState
+from .states import TwoPathState
 
 MIN_SHOTS = 100
 # numpy's binomial and multinomial samplers take counts up to int64.
@@ -47,10 +49,7 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    c_a: complex
-    c_b: complex
-    phi_a: tuple[complex, complex]
-    phi_b: tuple[complex, complex]
+    state: TwoPathState
     shots: int
     phase_points: int
     seed: int
@@ -58,27 +57,21 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name.strip():
             raise ScenarioError("name must be a non-empty string")
+        if not isinstance(self.state, TwoPathState):
+            raise ScenarioError(f"state must be a TwoPathState, got {type(self.state).__name__}")
         if self.shots < MIN_SHOTS:
             raise ScenarioError(f"shots must be >= {MIN_SHOTS}, got {self.shots}")
         if self.shots > MAX_SHOTS:
             raise ScenarioError(f"shots must be <= {MAX_SHOTS}, got {self.shots}")
-        if self.phase_points < MIN_PHASE_POINTS:
+        if not MIN_PHASE_POINTS <= self.phase_points <= MAX_PHASE_POINTS:
             raise ScenarioError(
-                f"phase_points must be >= {MIN_PHASE_POINTS}, got {self.phase_points}"
+                f"phase_points must be in [{MIN_PHASE_POINTS}, {MAX_PHASE_POINTS}], "
+                f"got {self.phase_points}"
             )
         try:
             check_seed(self.seed)
         except ValueError as err:
             raise ScenarioError(str(err)) from None
-        try:
-            self.to_state()
-        except ValueError as err:
-            raise ScenarioError(f"invalid state: {err}") from None
-
-    def to_state(self) -> TwoPathState:
-        return TwoPathState(
-            self.c_a, self.c_b, InternalState(self.phi_a), InternalState(self.phi_b)
-        )
 
 
 def _is_real(value) -> bool:
@@ -87,10 +80,13 @@ def _is_real(value) -> bool:
 
 
 def _as_complex(value, where: str) -> complex:
-    if _is_real(value):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(_is_real(x) for x in value):
-        return complex(value[0], value[1])
+    try:
+        if _is_real(value):
+            return complex(value)
+        if isinstance(value, (list, tuple)) and len(value) == 2 and all(_is_real(x) for x in value):
+            return complex(value[0], value[1])
+    except OverflowError:
+        raise ScenarioError(f"{where}: number too large for a float") from None
     raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
@@ -123,16 +119,11 @@ def _parse_scenario(obj, index: int) -> Scenario:
     phi_a = _as_complex_pair(obj["phi_a"], f"{where}: field 'phi_a'")
     phi_b = _as_complex_pair(obj["phi_b"], f"{where}: field 'phi_b'")
     try:
-        return Scenario(
-            name=name,
-            c_a=c_a,
-            c_b=c_b,
-            phi_a=phi_a,
-            phi_b=phi_b,
-            shots=obj["shots"],
-            phase_points=obj["phase_points"],
-            seed=obj["seed"],
-        )
+        state = TwoPathState(c_a, c_b, phi_a, phi_b)
+    except ValueError as err:
+        raise ScenarioError(f"{where}: invalid state: {err}") from None
+    try:
+        return Scenario(name, state, obj["shots"], obj["phase_points"], obj["seed"])
     except ScenarioError as err:
         raise ScenarioError(f"{where}: {err}") from None
 
@@ -170,22 +161,23 @@ def load_scenarios(path) -> list[Scenario]:
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Inverse of ``_parse_scenario``; useful for writing scenario files."""
-    pair = lambda z: [z.real, z.imag]
+    pair = lambda z: [float(z.real), float(z.imag)]
+    s = sc.state
     return {
         "name": sc.name,
-        "c_a": pair(sc.c_a),
-        "c_b": pair(sc.c_b),
-        "phi_a": [pair(z) for z in sc.phi_a],
-        "phi_b": [pair(z) for z in sc.phi_b],
+        "c_a": pair(s.c_a),
+        "c_b": pair(s.c_b),
+        "phi_a": [pair(z) for z in s.phi_a.amplitudes],
+        "phi_b": [pair(z) for z in s.phi_b.amplitudes],
         "shots": sc.shots,
         "phase_points": sc.phase_points,
         "seed": sc.seed,
     }
 
 
-def _overlap_pair(g: float) -> tuple[complex, complex]:
+def _overlap_pair(g: float) -> tuple[float, float]:
     """phi_b with <phi_a|phi_b> = g against phi_a = (1, 0)."""
-    return (complex(g), complex(math.sqrt(max(0.0, 1.0 - g * g))))
+    return (g, math.sqrt(max(0.0, 1.0 - g * g)))
 
 
 def default_scenarios() -> list[Scenario]:
@@ -199,10 +191,7 @@ def default_scenarios() -> list[Scenario]:
     return [
         Scenario(
             name=name,
-            c_a=complex(c_a),
-            c_b=complex(c_b),
-            phi_a=(1 + 0j, 0j),
-            phi_b=_overlap_pair(g),
+            state=TwoPathState(c_a, c_b, (1.0, 0.0), _overlap_pair(g)),
             shots=DEFAULT_SHOTS,
             phase_points=DEFAULT_PHASE_POINTS,
             seed=derive_seed(DEFAULT_MASTER_SEED, i),

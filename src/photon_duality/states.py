@@ -22,7 +22,6 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,21 +31,17 @@ NORM_ATOL = 1e-9
 MATRIX_ATOL = 1e-10
 # Eigenvalue slack below zero that still counts as a physical density matrix.
 PSD_ATOL = 1e-8
-
-
-class PathLabel(Enum):
-    """The two interferometer arms."""
-
-    A = "A"
-    B = "B"
+# No unit vector has a real or imaginary part above this.  Constructors check
+# it before squaring anything, so a huge part is rejected, not overflowed.
+_MAX_PART = 1.0 + NORM_ATOL
 
 
 def _as_readonly_complex(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D amplitude vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError(f"{name} contains non-finite amplitudes")
+    if not np.all(np.abs(arr.view(np.float64)) <= _MAX_PART):  # also rejects NaN and inf
+        raise ValueError(f"{name} norm cannot be 1: a part is not finite or exceeds 1")
     arr.setflags(write=False)
     return arr
 
@@ -104,8 +99,13 @@ class TwoPathState:
             value = getattr(self, arm)
             if not isinstance(value, InternalState):
                 object.__setattr__(self, arm, InternalState(value))
+        parts = (self.c_a.real, self.c_a.imag, self.c_b.real, self.c_b.imag)
+        if not all(abs(x) <= _MAX_PART for x in parts):  # also rejects NaN and inf
+            raise ValueError(
+                f"|c_a|^2 + |c_b|^2 cannot be 1 with c_a = {self.c_a!r}, c_b = {self.c_b!r}"
+            )
         total = abs(self.c_a) ** 2 + abs(self.c_b) ** 2
-        if not (abs(total - 1.0) <= NORM_ATOL):  # also rejects NaN and inf
+        if not (abs(total - 1.0) <= NORM_ATOL):
             raise ValueError(
                 f"|c_a|^2 + |c_b|^2 = {total!r}, expected 1 within {NORM_ATOL}"
             )
@@ -120,20 +120,13 @@ class TwoPathState:
         return self.phi_a.dim
 
 
-def internal_overlap(a: InternalState, b: InternalState) -> complex:
-    """Conjugate-linear inner product <a|b> of two internal states."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def overlap(s: TwoPathState) -> complex:
     """Partial correlation gamma = <phi_a|phi_b> between the two arms' tags.
 
     |gamma| = 1 means the arms are unmarked (full fringe capability);
     |gamma| = 0 means the internal state fully marks the path.
     """
-    return internal_overlap(s.phi_a, s.phi_b)
+    return complex(np.vdot(s.phi_a.amplitudes, s.phi_b.amplitudes))
 
 
 def coefficient_matrix(s: TwoPathState) -> np.ndarray:

@@ -120,7 +120,7 @@ def test_criterion_4_mutual_exclusivity_violation_demo():
     family = [sc for sc in default_scenarios() if sc.name in
               ("default-arc-g0.92", "default-arc-g0.71", "default-arc-g0.38")]
     family = sorted(family, key=lambda sc: sc.name, reverse=True)
-    triples = [vdc_triple(sc.to_state()) for sc in family]
+    triples = [vdc_triple(sc.state) for sc in family]
     vs = [t.visibility for t in triples]
     ds = [t.distinguishability for t in triples]
     cs = [t.concurrence for t in triples]
@@ -156,7 +156,7 @@ def test_criterion_5_fringe_fidelity():
 
     worst_noisy = 0.0
     for i, sc in enumerate(default_scenarios()):
-        state = sc.to_state()
+        state = sc.state
         scan = sample_fringe_scan(state, 100_000, make_rng(derive_seed(55, i)))
         v_hat, *_ = fit_fringe(scan)
         worst_noisy = max(worst_noisy, abs(v_hat - visibility(state)))

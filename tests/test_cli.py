@@ -1,13 +1,18 @@
 """CLI surface: subcommands, flags, output formats, exit codes."""
 
+import contextlib
 import functools
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from photon_duality import pipeline, scenario_to_dict, tomography
 from photon_duality.cli import build_parser, main
-from photon_duality.scenarios import default_scenarios, override_shots
+from photon_duality.interferometer import MAX_PHASE_POINTS
+from photon_duality.scenarios import _FIELDS, default_scenarios, override_shots
 
 
 @pytest.fixture()
@@ -228,3 +233,82 @@ class TestErrorHandling:
         missing_dir = tmp_path / "does" / "not" / "exist" / "out.csv"
         code = run_cli("compute", "--config", str(config_path), "--out", str(missing_dir))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("c_a", 1e200),
+            ("c_a", [0, 1e200]),
+            ("c_a", 1e308),
+            ("c_a", 10**400),
+            ("c_a", [0, -(10**400)]),
+            ("phi_a", [1e200, 0]),
+            ("phi_b", [0, [1e308, 1e308]]),
+            ("phase_points", MAX_PHASE_POINTS + 1),
+            ("phase_points", 10**15),
+        ],
+        ids=[
+            "c_a-1e200",
+            "c_a-im-1e200",
+            "c_a-1e308",
+            "c_a-int-1e400",
+            "c_a-im-int-1e400",
+            "phi_a-1e200",
+            "phi_b-pair-1e308",
+            "phase_points-max+1",
+            "phase_points-1e15",
+        ],
+    )
+    def test_oversized_number_is_one_error_line(self, field, value, tmp_path, capsys):
+        # Each once escaped as an OverflowError, a RuntimeWarning or (for
+        # phase_points, under fringes or experiment) a failed allocation.
+        entry = scenario_to_dict(default_scenarios()[0])
+        entry[field] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([entry]))
+        assert run_cli("compute", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: scenario entry 0 ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+)
+_JSON_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=4),
+    st.lists(st.one_of(_SCALARS, st.lists(_SCALARS, min_size=2, max_size=2)), min_size=2, max_size=2),
+)
+
+
+class TestMalformedScenarioProperty:
+    """Every malformed scenario entry exits 1 with one error line, never 0 silently
+    and never with a traceback (``compute`` only: nothing is sampled)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+    @example(field="c_a", value=10**400)
+    @example(field="c_a", value=-(10**400))
+    @example(field="phi_b", value=[0, 10**400])
+    @example(field="shots", value=10**400)
+    @example(field="phase_points", value=-(10**400))
+    def test_one_field_replaced(self, tmp_path_factory, field, value):
+        entry = scenario_to_dict(default_scenarios()[0])
+        entry[field] = value
+        path = tmp_path_factory.getbasetemp() / "one_field_replaced.json"
+        path.write_text(json.dumps([entry]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli("compute", "--config", str(path))
+        if code == 0:
+            assert err.getvalue() == "" and out.getvalue().startswith("name,V,D,C,residual")
+        else:
+            assert code == 1 and out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,4 +1,4 @@
-"""Fringe model, visibility fitting, arm blocking, arm-local unitaries."""
+"""Fringe model, visibility fitting, arm-local unitaries."""
 
 import math
 
@@ -8,9 +8,7 @@ import pytest
 from photon_duality import (
     FringeScan,
     InternalState,
-    PathLabel,
     TwoPathState,
-    block_arm,
     detection_probabilities,
     distinguishability,
     fit_fringe,
@@ -41,9 +39,9 @@ def rotation(beta):
 
 
 def rotate_arm(s, u, arm):
-    """The state with unitary ``u`` applied to one arm's internal tag."""
+    """The state with unitary ``u`` applied to arm ``"A"``'s or ``"B"``'s internal tag."""
     phi_a, phi_b = s.phi_a.amplitudes, s.phi_b.amplitudes
-    if arm == PathLabel.A:
+    if arm == "A":
         phi_a = u @ phi_a
     else:
         phi_b = u @ phi_b
@@ -185,46 +183,26 @@ class TestVisibilityExtraction:
         assert fit_fringe(scan).rmse < 0.01
 
 
-class TestBlockArm:
-    def test_single_path(self):
-        s = state_with_overlap(1.0, 0.0, 0.0)
-        assert block_arm(s, PathLabel.B) == pytest.approx(1.0)
-
-    def test_balanced(self):
-        assert block_arm(state_with_overlap(HALF, HALF, 0.0), PathLabel.A) == pytest.approx(0.5)
-
-    def test_partial(self):
-        s = state_with_overlap(math.sqrt(0.7), math.sqrt(0.3), 0.0)
-        assert block_arm(s, PathLabel.B) == pytest.approx(0.7, abs=1e-12)
-
-    def test_pair_recovers_path_probabilities(self):
-        rng = np.random.default_rng(35)
-        for _ in range(100):
-            s = random_two_path_state(rng)
-            assert block_arm(s, PathLabel.B) == pytest.approx(abs(s.c_a) ** 2, abs=1e-12)
-            assert block_arm(s, PathLabel.A) == pytest.approx(abs(s.c_b) ** 2, abs=1e-12)
-
-
 class TestArmUnitary:
     """A unitary on one arm's internal tag moves gamma but not the path."""
 
     def test_aligning_rotation_gives_unit_overlap(self):
         s = state_with_overlap(HALF, HALF, 0.0)  # phi_b = (0, 1)
-        rotated = rotate_arm(s, rotation(-math.pi / 2), PathLabel.B)
+        rotated = rotate_arm(s, rotation(-math.pi / 2), "B")
         assert abs(overlap(rotated)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_angle_sets_overlap(self):
         # Rotating one of two aligned tags by beta gives |gamma| = |cos beta|.
         s = state_with_overlap(HALF, HALF, 1.0)
         for beta in (0.0, math.pi / 3, 1.1, math.pi / 2, 2.5):
-            rotated = rotate_arm(s, rotation(beta), PathLabel.B)
+            rotated = rotate_arm(s, rotation(beta), "B")
             assert abs(overlap(rotated)) == pytest.approx(abs(math.cos(beta)), abs=1e-12)
 
     def test_distinguishability_invariant(self):
         rng = np.random.default_rng(36)
         for _ in range(200):
             s = random_two_path_state(rng)
-            rotated = rotate_arm(s, random_unitary(rng), PathLabel(rng.choice(["A", "B"])))
+            rotated = rotate_arm(s, random_unitary(rng), rng.choice(["A", "B"]))
             assert distinguishability(rotated) == pytest.approx(
                 distinguishability(s), abs=1e-12
             )

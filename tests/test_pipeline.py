@@ -9,6 +9,7 @@ import pytest
 from photon_duality import (
     Scenario,
     ScenarioError,
+    TwoPathState,
     default_scenarios,
     load_scenarios,
     render_report,
@@ -16,8 +17,10 @@ from photon_duality import (
     scenario_to_dict,
     vdc_triple,
 )
-from photon_duality.pipeline import CSV_COLUMNS, _clamp_point
+from photon_duality.interferometer import MAX_PHASE_POINTS
+from photon_duality.pipeline import CSV_COLUMNS, STAGE_BLOCKING, _clamp_point
 from photon_duality.scenarios import override_shots, reseed
+from photon_duality.seeding import derive_seed, make_rng
 
 HALF = math.sqrt(0.5)
 
@@ -25,10 +28,7 @@ HALF = math.sqrt(0.5)
 def make_scenario(**overrides):
     base = dict(
         name="test",
-        c_a=complex(HALF),
-        c_b=complex(HALF),
-        phi_a=(1 + 0j, 0j),
-        phi_b=(0j, 1 + 0j),
+        state=TwoPathState(HALF, HALF, (1, 0), (0, 1)),
         shots=2000,
         phase_points=32,
         seed=7,
@@ -52,9 +52,27 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="phase_points"):
             make_scenario(phase_points=4)
 
-    def test_state_invariants_enforced(self):
-        with pytest.raises(ScenarioError, match="invalid state"):
-            make_scenario(c_a=1 + 0j, c_b=1 + 0j)
+    def test_phase_points_ceiling(self):
+        # Checked before anything is allocated for the scan.
+        make_scenario(phase_points=MAX_PHASE_POINTS)
+        with pytest.raises(ScenarioError, match="phase_points"):
+            make_scenario(phase_points=MAX_PHASE_POINTS + 1)
+
+    def test_state_invariants_enforced(self, tmp_path):
+        entry = scenario_to_dict(make_scenario())
+        entry["c_a"] = [1.0, 0.0]
+        path = write_config(tmp_path, [entry])
+        with pytest.raises(ScenarioError, match=r"entry 0 \('test'\): invalid state: \|c_a\|"):
+            load_scenarios(path)
+
+    @pytest.mark.parametrize(
+        "state",
+        [None, (HALF, HALF, (1, 0), (0, 1)), {"c_a": HALF}],
+        ids=["none", "tuple", "dict"],
+    )
+    def test_state_must_be_a_two_path_state(self, state):
+        with pytest.raises(ScenarioError, match="state must be a TwoPathState"):
+            make_scenario(state=state)
 
     def test_seed_range(self):
         with pytest.raises(ScenarioError, match="seed"):
@@ -145,7 +163,7 @@ class TestLoadScenarios:
         entry["c_a"] = HALF
         entry["c_b"] = HALF
         path = write_config(tmp_path, [entry])
-        assert load_scenarios(path)[0].c_a == complex(HALF)
+        assert load_scenarios(path)[0].state.c_a == complex(HALF)
 
     def test_unknown_field_rejected(self, tmp_path):
         entry = scenario_to_dict(make_scenario())
@@ -164,13 +182,13 @@ class TestDefaults:
 
     def test_analytic_points_on_unit_sphere(self):
         for sc in default_scenarios():
-            t = vdc_triple(sc.to_state())
+            t = vdc_triple(sc.state)
             radius_sq = sum(x * x for x in t.as_tuple())
             assert radius_sq == pytest.approx(1.0, abs=1e-12)
 
     def test_contains_extreme_point_and_both_poles(self):
         triples = {
-            sc.name: vdc_triple(sc.to_state()).as_tuple() for sc in default_scenarios()
+            sc.name: vdc_triple(sc.state).as_tuple() for sc in default_scenarios()
         }
         assert triples["default-arc-g0.00"] == pytest.approx((0, 0, 1), abs=1e-12)
         assert triples["default-arc-g1.00"] == pytest.approx((1, 0, 0), abs=1e-12)
@@ -178,7 +196,7 @@ class TestDefaults:
     def test_arc_family_monotone(self):
         # Decreasing overlap along the arc family: V falls, D stays 0, C rises.
         arc = [sc for sc in default_scenarios() if "arc" in sc.name]
-        triples = [vdc_triple(sc.to_state()) for sc in arc]
+        triples = [vdc_triple(sc.state) for sc in arc]
         vs = [t.visibility for t in triples]
         cs = [t.concurrence for t in triples]
         ds = [t.distinguishability for t in triples]
@@ -214,7 +232,8 @@ class TestPipeline:
         assert abs(report.estimated.residual) < 0.1
 
     def test_separable_scenario_low_concurrence(self):
-        sc = make_scenario(name="separable", phi_b=(1 + 0j, 0j), shots=20_000)
+        separable = TwoPathState(HALF, HALF, (1, 0), (1, 0))
+        sc = make_scenario(name="separable", state=separable, shots=20_000)
         report = run_pipeline(sc)
         assert report.estimated.concurrence <= 0.05
 
@@ -226,11 +245,24 @@ class TestPipeline:
             assert abs(radius_sq - 1.0) <= 0.05, (sc.name, radius_sq)
 
     def test_rejects_higher_dimension(self):
-        sc = make_scenario()
-        object.__setattr__(sc, "phi_a", (HALF, HALF * 1j, 0j))
-        object.__setattr__(sc, "phi_b", (0j, 0j, 1 + 0j))
+        sc = make_scenario(state=TwoPathState(HALF, HALF, (HALF, HALF * 1j, 0), (0, 0, 1)))
         with pytest.raises(ValueError, match="d = 2"):
             run_pipeline(sc)
+
+    def test_blocking_draws_pin_each_arm_to_its_stream(self):
+        # Blocking A (stream 0) leaves p_b, blocking B (stream 1) leaves p_a.
+        # D is symmetric under an arm swap, and numpy draws binomial(n, p) as
+        # n - binomial(n, 1 - p), so for most states a swap does not even
+        # move D_est; this state and seed are picked so that it does.
+        c_a, c_b = math.sqrt(0.3) * 1j, math.sqrt(0.7)
+        sc = make_scenario(state=TwoPathState(c_a, c_b, (1, 0), (0, 1)))
+
+        def fraction(k, p):
+            return make_rng(derive_seed(sc.seed, STAGE_BLOCKING, k)).binomial(sc.shots, p) / sc.shots
+
+        expected = abs(fraction(1, abs(c_a) ** 2) - fraction(0, abs(c_b) ** 2))
+        assert abs(fraction(0, abs(c_a) ** 2) - fraction(1, abs(c_b) ** 2)) != expected
+        assert run_pipeline(sc).estimated.distinguishability == expected
 
 
 @pytest.fixture(scope="module")

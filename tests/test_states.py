@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from photon_duality import (
     DensityMatrix,
     InternalState,
-    PathLabel,
     TwoPathState,
     coefficient_matrix,
     concurrence_pure,
     estimate_vdc_from_rho,
-    internal_overlap,
     overlap,
     pure_state_fidelity,
     random_two_path_state,
@@ -71,9 +69,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             s.phi_a.amplitudes[0] = 2.0
 
-    def test_path_label_has_exactly_two_values(self):
-        assert {p.value for p in PathLabel} == {"A", "B"}
-
 
 class TestOverlap:
     def test_identical_states(self):
@@ -88,13 +83,11 @@ class TestOverlap:
         assert overlap(s) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_conjugate_linearity(self):
+        # Swapping the arms conjugates gamma.
         a = InternalState([HALF, HALF * 1j])
         b = InternalState([1, 0])
-        assert internal_overlap(a, b) == pytest.approx(np.conj(internal_overlap(b, a)))
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            internal_overlap(InternalState([1, 0]), InternalState([1, 0, 0]))
+        swapped = overlap(TwoPathState(HALF, HALF, b, a))
+        assert overlap(TwoPathState(HALF, HALF, a, b)) == pytest.approx(np.conj(swapped))
 
     def test_magnitude_bounded_by_one(self):
         rng = np.random.default_rng(10)

@@ -160,7 +160,7 @@ def oracle_input(index):
     if index == 7:
         return sampled_records(to_density_matrix(bell_like_state()), 50_000, 13)
     sc = reseed(default_scenarios(), 42)[index]
-    rho_true = to_density_matrix(sc.to_state())
+    rho_true = to_density_matrix(sc.state)
     seeds = [derive_seed(sc.seed, STAGE_TOMOGRAPHY, k) for k in range(15)]
     return sample_counts(rho_true, sc.shots, seeds)
 
