@@ -34,7 +34,6 @@ from .scenarios import (
 from .seeding import derive_seed, make_rng
 from .states import (
     DensityMatrix,
-    InternalState,
     SchmidtDecomposition,
     TwoPathState,
     coefficient_matrix,

@@ -83,8 +83,8 @@ def detection_probabilities(s: TwoPathState, phases: np.ndarray) -> np.ndarray:
     """Exact "+"-port detection probabilities over a grid."""
     phases = np.asarray(phases, dtype=np.float64)
     amps = (
-        np.exp(1j * phases)[:, None] * s.c_a * s.phi_a.amplitudes[None, :]
-        + s.c_b * s.phi_b.amplitudes[None, :]
+        np.exp(1j * phases)[:, None] * s.c_a * s.phi_a[None, :]
+        + s.c_b * s.phi_b[None, :]
     )
     p = 0.5 * np.sum(np.abs(amps) ** 2, axis=1)
     return np.clip(p, 0.0, 1.0)
@@ -124,8 +124,6 @@ def sample_fringe_scan(
 class FringeFit(NamedTuple):
     v_hat: float
     theta0_hat: float
-    offset: float
-    amplitude: float
     rmse: float
 
 
@@ -133,8 +131,8 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     """Least-squares fit of p(phi) = A + B cos(phi + theta) to a scan.
 
     Returns the clamped contrast ``v_hat = B/A`` in [0, 1] along with the
-    fitted phase origin, offset, raw amplitude, and fit RMSE.  Raises on
-    scans that cannot carry a fringe (insufficient span, offset ~ 0).
+    fitted phase origin and the fit RMSE.  Raises on scans that cannot carry
+    a fringe (insufficient span, offset ~ 0).
     """
     span = float(scan.phases[-1] - scan.phases[0])
     if span < MIN_SPAN:
@@ -153,4 +151,4 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     residuals = scan.probabilities - design @ coef
     rmse = float(np.sqrt(np.mean(residuals**2)))
     v_hat = min(1.0, max(0.0, amplitude / a0))
-    return FringeFit(v_hat=v_hat, theta0_hat=theta0, offset=a0, amplitude=amplitude, rmse=rmse)
+    return FringeFit(v_hat=v_hat, theta0_hat=theta0, rmse=rmse)

@@ -167,8 +167,8 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "name": sc.name,
         "c_a": pair(s.c_a),
         "c_b": pair(s.c_b),
-        "phi_a": [pair(z) for z in s.phi_a.amplitudes],
-        "phi_b": [pair(z) for z in s.phi_b.amplitudes],
+        "phi_a": [pair(z) for z in s.phi_a],
+        "phi_b": [pair(z) for z in s.phi_b],
         "shots": sc.shots,
         "phase_points": sc.phase_points,
         "seed": sc.seed,

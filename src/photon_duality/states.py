@@ -7,7 +7,8 @@ dimension d >= 2:
 
     |state> = c_a |A> (x) |phi_a>  +  c_b |B> (x) |phi_b>
 
-This module owns construction and validation of such states, the internal
+This module owns construction and validation of such states (each arm's
+internal state is held as a read-only complex128 unit vector), the internal
 overlap gamma = <phi_a|phi_b>, Schmidt decomposition of the path/internal
 bipartition, density matrices, and two-qubit concurrence.
 
@@ -36,69 +37,51 @@ PSD_ATOL = 1e-8
 _MAX_PART = 1.0 + NORM_ATOL
 
 
-def _as_readonly_complex(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
+def _unit_vector(values, name: str) -> np.ndarray:
+    """Arm ``name`` as a read-only complex128 unit vector of dimension >= 2."""
+    try:
+        arr = np.array(values, dtype=np.complex128)
+    except OverflowError:
+        raise ValueError(f"{name}: number too large for a float") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D amplitude vector, got shape {arr.shape}")
     if not np.all(np.abs(arr.view(np.float64)) <= _MAX_PART):  # also rejects NaN and inf
         raise ValueError(f"{name} norm cannot be 1: a part is not finite or exceeds 1")
+    if arr.size < 2:
+        raise ValueError(f"{name} needs dimension >= 2, got {arr.size}")
+    norm = float(np.linalg.norm(arr))
+    if not (abs(norm - 1.0) <= NORM_ATOL):  # also rejects NaN
+        raise ValueError(f"{name} norm is {norm!r}, expected 1 within {NORM_ATOL}")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
-class InternalState:
-    """Normalized amplitude vector for the photon's internal degrees of freedom.
-
-    The dimension d = len(amplitudes) is fixed per state and must be >= 2.
-    Construction rejects vectors whose Euclidean norm deviates from 1 by more
-    than ``NORM_ATOL``; nothing is renormalized behind the caller's back.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_readonly_complex(self.amplitudes, "internal state")
-        if arr.size < 2:
-            raise ValueError(f"internal state needs dimension >= 2, got {arr.size}")
-        norm = np.linalg.norm(arr)
-        if not (abs(norm - 1.0) <= NORM_ATOL):  # also rejects NaN
-            raise ValueError(f"internal state norm is {norm!r}, expected 1 within {NORM_ATOL}")
-        object.__setattr__(self, "amplitudes", arr)
-
-    def __eq__(self, other):
-        if not isinstance(other, InternalState):
-            return NotImplemented
-        return np.array_equal(self.amplitudes, other.amplitudes)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-
-@dataclass(frozen=True)
 class TwoPathState:
     """Pure state of one photon over two paths with internal tags.
 
     ``c_a`` and ``c_b`` are the path amplitudes, normalized so that
     |c_a|^2 + |c_b|^2 = 1 (within ``NORM_ATOL``); ``phi_a`` and ``phi_b`` are
-    the internal states carried along each arm and must share one dimension.
+    the internal states carried along each arm, held as read-only complex128
+    unit vectors (norm 1 within ``NORM_ATOL``) of one dimension d >= 2.
     Either amplitude may be zero; the internal states are kept regardless, so
-    the overlap stays well defined.
+    the overlap stays well defined.  Equality compares all four fields; the
+    state is not hashable.
     """
 
     c_a: complex
     c_b: complex
-    phi_a: InternalState
-    phi_b: InternalState
+    phi_a: np.ndarray
+    phi_b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c_a", complex(self.c_a))
-        object.__setattr__(self, "c_b", complex(self.c_b))
+        for name in ("c_a", "c_b"):
+            try:
+                object.__setattr__(self, name, complex(getattr(self, name)))
+            except OverflowError:
+                raise ValueError(f"{name}: number too large for a float") from None
         for arm in ("phi_a", "phi_b"):
-            value = getattr(self, arm)
-            if not isinstance(value, InternalState):
-                object.__setattr__(self, arm, InternalState(value))
+            object.__setattr__(self, arm, _unit_vector(getattr(self, arm), arm))
         parts = (self.c_a.real, self.c_a.imag, self.c_b.real, self.c_b.imag)
         if not all(abs(x) <= _MAX_PART for x in parts):  # also rejects NaN and inf
             raise ValueError(
@@ -109,15 +92,24 @@ class TwoPathState:
             raise ValueError(
                 f"|c_a|^2 + |c_b|^2 = {total!r}, expected 1 within {NORM_ATOL}"
             )
-        if self.phi_a.dim != self.phi_b.dim:
+        if self.phi_a.size != self.phi_b.size:
             raise ValueError(
-                f"internal dimensions differ: {self.phi_a.dim} vs {self.phi_b.dim}"
+                f"internal dimensions differ: {self.phi_a.size} vs {self.phi_b.size}"
             )
+
+    def __eq__(self, other):
+        if not isinstance(other, TwoPathState):
+            return NotImplemented
+        return (
+            (self.c_a, self.c_b) == (other.c_a, other.c_b)
+            and np.array_equal(self.phi_a, other.phi_a)
+            and np.array_equal(self.phi_b, other.phi_b)
+        )
 
     @property
     def dim(self) -> int:
         """Internal dimension d shared by both arms."""
-        return self.phi_a.dim
+        return self.phi_a.size
 
 
 def overlap(s: TwoPathState) -> complex:
@@ -126,7 +118,7 @@ def overlap(s: TwoPathState) -> complex:
     |gamma| = 1 means the arms are unmarked (full fringe capability);
     |gamma| = 0 means the internal state fully marks the path.
     """
-    return complex(np.vdot(s.phi_a.amplitudes, s.phi_b.amplitudes))
+    return complex(np.vdot(s.phi_a, s.phi_b))
 
 
 def coefficient_matrix(s: TwoPathState) -> np.ndarray:
@@ -135,7 +127,7 @@ def coefficient_matrix(s: TwoPathState) -> np.ndarray:
     Flattening M row-major gives the joint state vector in the path-major
     tensor basis.
     """
-    return np.vstack([s.c_a * s.phi_a.amplitudes, s.c_b * s.phi_b.amplitudes])
+    return np.vstack([s.c_a * s.phi_a, s.c_b * s.phi_b])
 
 
 def state_vector(s: TwoPathState) -> np.ndarray:
@@ -266,4 +258,4 @@ def random_two_path_state(rng: np.random.Generator, dim: int = 2) -> TwoPathStat
         return v / np.linalg.norm(v)
 
     c = unit(2)
-    return TwoPathState(c[0], c[1], InternalState(unit(dim)), InternalState(unit(dim)))
+    return TwoPathState(c[0], c[1], unit(dim), unit(dim))

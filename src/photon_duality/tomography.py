@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _kernels
 from .metrics import DualityTriple
-from .seeding import check_seed, make_rng
+from .seeding import make_rng
 from .states import DensityMatrix, wootters_concurrence
 
 PAULI: dict[str, np.ndarray] = {
@@ -168,7 +168,6 @@ def sample_counts(rho: DensityMatrix, shots: int, seeds) -> list[CountRecord]:
     by the generator of ``seeds[k]``; seed-deterministic."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    seeds = [check_seed(seed) for seed in seeds]
     if len(seeds) != len(NONTRIVIAL_SETTINGS):
         raise ValueError(f"need one seed per nontrivial setting (15), got {len(seeds)}")
     table = _outcome_table(rho)[1:]

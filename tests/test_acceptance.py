@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from photon_duality import (
-    InternalState,
     TwoPathState,
     concurrence_pure,
     default_scenarios,
@@ -76,7 +75,7 @@ def test_criterion_1_identity_property():
 
 
 def test_criterion_2_extreme_point():
-    extreme = TwoPathState(HALF, HALF, InternalState([1, 0]), InternalState([0, 1]))
+    extreme = TwoPathState(HALF, HALF, [1, 0], [0, 1])
     analytic = vdc_triple(extreme)
     exact = analytic.as_tuple() == (0.0, 0.0, 1.0) and analytic.residual == 0.0
 

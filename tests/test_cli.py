@@ -272,6 +272,20 @@ class TestErrorHandling:
         assert captured.err.startswith("error: scenario entry 0 ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("arm", ["phi_a", "phi_b"])
+    def test_non_unit_arm_is_named(self, arm, tmp_path, capsys):
+        entry = scenario_to_dict(default_scenarios()[0])
+        entry[arm] = [1, 1]
+        path = tmp_path / "arm.json"
+        path.write_text(json.dumps([entry]))
+        assert run_cli("compute", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scenario entry 0 ('default-arc-g1.00'): invalid state: "
+            f"{arm} norm is 1.4142135623730951, expected 1 within 1e-09\n"
+        )
+
 
 _SCALARS = st.one_of(
     st.none(),

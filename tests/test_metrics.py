@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photon_duality import (
-    InternalState,
     TwoPathState,
     concurrence_pure,
     distinguishability,
@@ -26,7 +25,7 @@ HALF = math.sqrt(0.5)
 def state_with_overlap(c_a, c_b, g):
     """phi_a = (1,0), phi_b chosen so <phi_a|phi_b> = g (real g)."""
     phi_b = (g, math.sqrt(1.0 - g * g))
-    return TwoPathState(c_a, c_b, InternalState([1, 0]), InternalState(phi_b))
+    return TwoPathState(c_a, c_b, [1, 0], phi_b)
 
 
 class TestVisibility:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from photon_duality import (
     DensityMatrix,
-    InternalState,
     TwoPathState,
     coefficient_matrix,
     concurrence_pure,
@@ -28,51 +27,58 @@ HALF = math.sqrt(0.5)
 
 
 def balanced_state(phi_b=(0, 1)):
-    return TwoPathState(HALF, HALF, InternalState([1, 0]), InternalState(phi_b))
+    return TwoPathState(HALF, HALF, [1, 0], phi_b)
 
 
 class TestConstruction:
     def test_internal_state_requires_unit_norm(self):
-        with pytest.raises(ValueError, match="norm"):
-            InternalState([1.0, 1.0])
+        with pytest.raises(ValueError, match="phi_b norm is 1.414"):
+            TwoPathState(HALF, HALF, [1, 0], [1.0, 1.0])
 
     def test_internal_state_rejects_tiny_norm_violation(self):
         # 1e-9 is the hard validation limit; 1e-6 off must be rejected.
-        with pytest.raises(ValueError, match="norm"):
-            InternalState([1.0 + 1e-6, 0.0])
+        with pytest.raises(ValueError, match="phi_a norm"):
+            TwoPathState(HALF, HALF, [1.0 + 1e-6, 0.0], [0, 1])
 
     def test_internal_state_requires_dim_two_or_more(self):
-        with pytest.raises(ValueError, match="dimension"):
-            InternalState([1.0])
+        with pytest.raises(ValueError, match="phi_a needs dimension"):
+            TwoPathState(1.0, 0.0, [1.0], [1.0])
 
     def test_two_path_state_requires_normalized_amplitudes(self):
         with pytest.raises(ValueError, match=r"\|c_a\|"):
-            TwoPathState(1.0, 1.0, InternalState([1, 0]), InternalState([0, 1]))
+            TwoPathState(1.0, 1.0, [1, 0], [0, 1])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
     def test_non_finite_values_rejected(self, bad):
-        with pytest.raises(ValueError):
-            InternalState([bad, 0.0])
+        with pytest.raises(ValueError, match="phi_b norm"):
+            TwoPathState(HALF, HALF, [1, 0], [bad, 0.0])
         with pytest.raises(ValueError, match=r"\|c_a\|"):
-            TwoPathState(bad, HALF, InternalState([1, 0]), InternalState([0, 1]))
+            TwoPathState(bad, HALF, [1, 0], [0, 1])
+
+    @pytest.mark.parametrize("field", ["c_a", "c_b", "phi_a", "phi_b"])
+    def test_oversized_integer_names_the_field(self, field):
+        fields = {"c_a": 1.0, "c_b": 0.0, "phi_a": [1, 0], "phi_b": [0, 1]}
+        fields[field] = 10**400 if field.startswith("c_") else [0, 10**400]
+        with pytest.raises(ValueError, match=f"^{field}: number too large"):
+            TwoPathState(**fields)
 
     def test_two_path_state_requires_matching_dims(self):
         with pytest.raises(ValueError, match="dimensions differ"):
-            TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([0, 1, 0]))
+            TwoPathState(1.0, 0.0, [1, 0], [0, 1, 0])
 
     def test_degenerate_amplitude_is_legal(self):
-        s = TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([0, 1]))
+        s = TwoPathState(1.0, 0.0, [1, 0], [0, 1])
         assert overlap(s) == 0
 
     def test_amplitudes_are_read_only(self):
         s = balanced_state()
         with pytest.raises(ValueError):
-            s.phi_a.amplitudes[0] = 2.0
+            s.phi_a[0] = 2.0
 
 
 class TestOverlap:
     def test_identical_states(self):
-        s = TwoPathState(HALF, HALF, InternalState([1, 0]), InternalState([1, 0]))
+        s = TwoPathState(HALF, HALF, [1, 0], [1, 0])
         assert overlap(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_states(self):
@@ -84,8 +90,8 @@ class TestOverlap:
 
     def test_conjugate_linearity(self):
         # Swapping the arms conjugates gamma.
-        a = InternalState([HALF, HALF * 1j])
-        b = InternalState([1, 0])
+        a = [HALF, HALF * 1j]
+        b = [1, 0]
         swapped = overlap(TwoPathState(HALF, HALF, b, a))
         assert overlap(TwoPathState(HALF, HALF, a, b)) == pytest.approx(np.conj(swapped))
 
@@ -98,7 +104,7 @@ class TestOverlap:
 
 class TestSchmidt:
     def test_product_state(self):
-        s = TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([0, 1]))
+        s = TwoPathState(1.0, 0.0, [1, 0], [0, 1])
         sd = schmidt_decompose(s)
         assert (sd.lambda1, sd.lambda2) == pytest.approx((1.0, 0.0), abs=1e-12)
 
@@ -136,7 +142,7 @@ class TestSchmidt:
 
 class TestConcurrencePure:
     def test_product(self):
-        s = TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([0, 1]))
+        s = TwoPathState(1.0, 0.0, [1, 0], [0, 1])
         assert concurrence_pure(schmidt_decompose(s)) == 0.0
 
     def test_maximal(self):
@@ -151,7 +157,7 @@ class TestConcurrencePure:
 
 class TestDensityMatrix:
     def test_single_path_projector(self):
-        s = TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([1, 0]))
+        s = TwoPathState(1.0, 0.0, [1, 0], [1, 0])
         rho = to_density_matrix(s)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
@@ -259,13 +265,13 @@ def marginal(rho, keep):
 
 class TestPartialTrace:
     def test_single_path_state_path_marginal(self):
-        s = TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([1, 0]))
+        s = TwoPathState(1.0, 0.0, [1, 0], [1, 0])
         reduced = marginal(to_density_matrix(s), "path")
         np.testing.assert_allclose(reduced, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_marked_state_path_marginal_is_diagonal(self):
         # Orthogonal internal tags erase path coherence in the marginal.
-        s = TwoPathState(math.sqrt(0.7), math.sqrt(0.3), InternalState([1, 0]), InternalState([0, 1]))
+        s = TwoPathState(math.sqrt(0.7), math.sqrt(0.3), [1, 0], [0, 1])
         reduced = marginal(to_density_matrix(s), "path")
         np.testing.assert_allclose(reduced, np.diag([0.7, 0.3]), atol=1e-12)
 
@@ -297,7 +303,7 @@ class TestWoottersConcurrence:
         )
 
     def test_product_state(self):
-        s = TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([0, 1]))
+        s = TwoPathState(1.0, 0.0, [1, 0], [0, 1])
         assert wootters_concurrence(to_density_matrix(s)) == pytest.approx(0.0, abs=1e-12)
 
     def test_agrees_with_schmidt_route_on_random_states(self):
@@ -348,10 +354,10 @@ class TestFidelity:
         assert pure_state_fidelity(to_density_matrix(s), s) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_fidelity(self):
-        s = TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([1, 0]))
-        t = TwoPathState(0.0, 1.0, InternalState([1, 0]), InternalState([1, 0]))
+        s = TwoPathState(1.0, 0.0, [1, 0], [1, 0])
+        t = TwoPathState(0.0, 1.0, [1, 0], [1, 0])
         assert pure_state_fidelity(to_density_matrix(s), t) == pytest.approx(0.0, abs=1e-12)
 
     def test_state_vector_layout_is_path_major(self):
-        s = TwoPathState(0.0, 1.0, InternalState([1, 0]), InternalState([0, 1]))
+        s = TwoPathState(0.0, 1.0, [1, 0], [0, 1])
         np.testing.assert_allclose(state_vector(s), [0, 0, 0, 1], atol=1e-15)

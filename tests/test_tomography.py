@@ -9,7 +9,6 @@ import pytest
 from photon_duality import (
     CountRecord,
     DensityMatrix,
-    InternalState,
     MeasurementSetting,
     TwoPathState,
     derive_seed,
@@ -51,7 +50,7 @@ def expectation(rec):
 
 
 def bell_like_state():
-    return TwoPathState(HALF, HALF, InternalState([1, 0]), InternalState([0, 1]))
+    return TwoPathState(HALF, HALF, [1, 0], [0, 1])
 
 
 # Test-only oracle: the plain R rho R iteration in the einsum form that the
@@ -207,7 +206,7 @@ class TestPauliExpectation:
         assert p @ SIGNS == pytest.approx(1.0, abs=1e-12)
 
     def test_path_population_difference(self):
-        s = TwoPathState(math.sqrt(0.7), math.sqrt(0.3), InternalState([1, 0]), InternalState([1, 0]))
+        s = TwoPathState(math.sqrt(0.7), math.sqrt(0.3), [1, 0], [1, 0])
         p = outcome_probabilities(to_density_matrix(s), MeasurementSetting("Z", "I"))
         assert p @ SIGNS == pytest.approx(0.4, abs=1e-12)
 
@@ -232,7 +231,7 @@ class TestSampleCounts:
         assert sorted(rec.counts.tolist()) == [0, 0, 0, 1]
 
     def test_eigenstate_concentrates(self):
-        s = TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([1, 0]))
+        s = TwoPathState(1.0, 0.0, [1, 0], [1, 0])
         rec = sampled_record(to_density_matrix(s), MeasurementSetting("Z", "Z"), 5000, seed=4)
         assert rec.counts[OUTCOMES.index((1, 1))] == 5000
 
@@ -288,6 +287,10 @@ class TestSampleCounts:
     def test_one_seed_per_setting_required(self):
         with pytest.raises(ValueError, match="one seed per nontrivial setting"):
             sample_counts(MIXED, 100, list(range(14)))
+
+    def test_out_of_range_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be in"):
+            sample_counts(MIXED, 100, [0] * 14 + [2**64])
 
     def test_exact_record_matches_distribution(self):
         rho = to_density_matrix(bell_like_state())
@@ -446,13 +449,13 @@ class TestEstimateFromRho:
         assert triple.as_tuple() == pytest.approx((0.0, 0.0, 1.0), abs=1e-10)
 
     def test_single_path_product_state(self):
-        s = TwoPathState(1.0, 0.0, InternalState([1, 0]), InternalState([1, 0]))
+        s = TwoPathState(1.0, 0.0, [1, 0], [1, 0])
         triple = estimate_vdc_from_rho(to_density_matrix(s))
         assert triple.as_tuple() == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
 
     def test_partial_state(self):
         s = TwoPathState(
-            math.sqrt(0.7), math.sqrt(0.3), InternalState([1, 0]), InternalState([0.5, math.sqrt(0.75)])
+            math.sqrt(0.7), math.sqrt(0.3), [1, 0], [0.5, math.sqrt(0.75)]
         )
         triple = estimate_vdc_from_rho(to_density_matrix(s))
         assert triple.as_tuple() == pytest.approx(
