@@ -22,8 +22,12 @@ carries the bound ll* - ll <= lambda_max(G) - Tr(G rho), where
 G = sum_k (n_k / p_k) P_k is its gradient (Glancy, Knill & Girard, New J.
 Phys. 14, 095017, 2012).  The R the iteration builds is G over the mean
 shots per setting, so lambda_max(R) / Tr(R rho) - 1 is that bound per count
-(Tr(G rho) = N, the total count).  This certified shortfall per count is
-the loop's one stop rule.
+(Tr(G rho) = N, the total count).  This certified shortfall per count,
+``gap``, is the loop's one stop rule: it stops at ``gap < tol`` for the
+per-count ``tol`` it is given, and ``gap`` times N is the bound in nats.
+``tomography.mle_reconstruct`` takes a total shortfall in nats (default
+0.015) and hands the loop that over N: 1e-8 at 1e5 shots per setting and
+for exact records, 2.5e-7 at 4000.
 
 The (K, n, n) stack of Hermitian outcome projectors is read as a real
 (K, 2 n^2) matrix A over the interleaved real and imaginary parts of each

@@ -22,6 +22,7 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,18 @@ PSD_ATOL = 1e-8
 _MAX_PART = 1.0 + NORM_ATOL
 
 
+def _require_number(value, name: str) -> None:
+    # ``complex()`` and numpy would parse '1' and read True as 1, and fail on
+    # None with a TypeError that does not name the field.
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        raise ValueError(f"{name}: {type(value).__name__} is not a number")
+
+
 def _unit_vector(values, name: str) -> np.ndarray:
     """Arm ``name`` as a read-only complex128 unit vector of dimension >= 2."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iufc"):
+        for x in np.asarray(values, dtype=object).reshape(-1):
+            _require_number(x, name)
     try:
         arr = np.array(values, dtype=np.complex128)
     except OverflowError:
@@ -64,6 +75,8 @@ class TwoPathState:
     |c_a|^2 + |c_b|^2 = 1 (within ``NORM_ATOL``); ``phi_a`` and ``phi_b`` are
     the internal states carried along each arm, held as read-only complex128
     unit vectors (norm 1 within ``NORM_ATOL``) of one dimension d >= 2.
+    Every amplitude must be a number: str, bytes, bool, None and other
+    non-numbers are rejected.
     Either amplitude may be zero; the internal states are kept regardless, so
     the overlap stays well defined.  Equality compares all four fields; the
     state is not hashable.
@@ -76,6 +89,7 @@ class TwoPathState:
 
     def __post_init__(self):
         for name in ("c_a", "c_b"):
+            _require_number(getattr(self, name), name)
             try:
                 object.__setattr__(self, name, complex(getattr(self, name)))
             except OverflowError:

@@ -14,8 +14,9 @@ Counts are held one way: a read-only (4,) array per setting, ordered as
 
 Reconstruction is maximum likelihood: reweighted sandwich updates R rho R
 on a factor of the state, accelerated by SQUAREM extrapolation, starting at
-the maximally mixed state and stopping on a certified likelihood gap, so the
-estimate is always physical.  The inner loop lives in ``_kernels``.
+the maximally mixed state and stopping once its total log-likelihood
+shortfall is certified below ``tol`` nats, so the estimate is always
+physical.  The inner loop lives in ``_kernels``.
 
 All 64 outcome projectors (16 settings x 4 outcomes) form one read-only
 stack, built on first use and shared by the outcome table and the MLE loop,
@@ -188,8 +189,9 @@ def exact_record(rho: DensityMatrix, m: MeasurementSetting) -> CountRecord:
 class TomographyResult:
     """A maximum-likelihood state and what the run can vouch for.
 
-    ``gap`` is the certified log-likelihood shortfall per count of
-    ``rho_hat`` and ``converged`` is ``gap < tol``.
+    ``gap`` is the certified log-likelihood shortfall of ``rho_hat`` per
+    count (times the total count N it is in nats), and ``converged`` is
+    ``gap < tol / N``, with N as ``mle_reconstruct`` reads it.
     """
 
     rho_hat: DensityMatrix
@@ -230,7 +232,14 @@ def _measurement_arrays(ordered: list[CountRecord]):
     return _projector_stack()[4:], counts.reshape(-1), counts.reshape(-1) / mean_shots
 
 
-def mle_reconstruct(records, max_iter: int = 2000, tol: float = 1e-8) -> TomographyResult:
+# Records with fractional counts (``exact_record``) hold probabilities, not
+# samples, so they have no shot noise to scale the stop to.  They read ``tol``
+# at the default scenarios' 1e5 shots per setting, which at the default
+# ``tol`` is a shortfall of 1e-8 per count.
+_EXACT_RECORD_TOTAL = 15 * 100_000
+
+
+def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> TomographyResult:
     """Maximum-likelihood reconstruction (always physical).
 
     Iterates the reweighted-sandwich fixed point from the maximally mixed
@@ -240,17 +249,26 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 1e-8) -> Tomogra
     (SQUAREM; see ``_kernels``).  ``iterations`` counts applications of the
     update map, extrapolated ones included; ``max_iter`` bounds it.
 
-    The run stops once the returned state's certified log-likelihood
-    shortfall per count, ``gap`` = (lambda_max(G) - Tr(G rho)) / N with G
-    the likelihood's gradient and N the total count, falls below ``tol``
-    (Glancy, Knill & Girard, New J. Phys. 14, 095017, 2012).  At the default
-    1e-8 that is 0.015 nats at 1e5 shots per setting.  ``converged`` is
-    ``gap < tol``; ``tol = 0.0`` runs the whole budget.  Non-convergence is
-    reported, never raised.
+    ``tol`` is the certified total log-likelihood shortfall in nats at which
+    the run stops (Glancy, Knill & Girard, New J. Phys. 14, 095017, 2012).
+    A shortfall of delta nats moves each estimate by at most sqrt(2 delta)
+    of its standard error, 0.17 sigma at the default 0.015.  The kernel
+    certifies the shortfall per count, ``gap`` = (lambda_max(G) - Tr(G rho))
+    / N with G the likelihood's gradient and N the total count (the sum of
+    the records' shots), so the run stops, and ``converged`` holds, once
+    ``gap < tol / N``: 1e-8 at 1e5 shots per setting.  Records with a
+    fractional count are exact, with no shot noise to scale to, and stop at
+    ``gap < tol / 1.5e6`` whatever their shots.  ``gap`` stays per count.
+    ``tol = 0.0`` runs the whole budget.  Non-convergence is reported, never
+    raised.
     """
     ordered = _collect(records)
     projs, counts, freqs = _measurement_arrays(ordered)
-    rho_mat, iterations, ll, gap, converged = _kernels.mle_loop(projs, counts, freqs, max_iter, tol)
+    exact = not np.array_equal(counts, np.rint(counts))
+    total = _EXACT_RECORD_TOTAL if exact else sum(rec.shots for rec in ordered)
+    rho_mat, iterations, ll, gap, converged = _kernels.mle_loop(
+        projs, counts, freqs, max_iter, tol / total
+    )
     return TomographyResult(
         rho_hat=DensityMatrix(rho_mat),
         iterations=iterations,

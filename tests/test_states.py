@@ -62,6 +62,30 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{field}: number too large"):
             TwoPathState(**fields)
 
+    @pytest.mark.parametrize("field", ["c_a", "c_b", "phi_a", "phi_b"])
+    @pytest.mark.parametrize(
+        "bad", ["1", b"1", True, False, np.True_, None, {}], ids=repr
+    )
+    def test_non_number_names_the_field(self, field, bad):
+        # complex('1') and np.array([True], complex) would build a state;
+        # complex(None) and complex({}) would raise TypeError.
+        fields = {"c_a": 1.0, "c_b": 0.0, "phi_a": [1, 0], "phi_b": [0, 1]}
+        fields[field] = bad if field.startswith("c_") else [bad, 0]
+        with pytest.raises(ValueError, match=f"^{field}: .* is not a number"):
+            TwoPathState(**fields)
+
+    @pytest.mark.parametrize("arm", ["phi_a", "phi_b"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["ab", np.array(["1", "0"]), np.array([True, False]), [[1, 0], [1]]],
+        ids=["str", "str-array", "bool-array", "ragged"],
+    )
+    def test_non_numeric_arm_names_the_field(self, arm, bad):
+        fields = {"c_a": 1.0, "c_b": 0.0, "phi_a": [1, 0], "phi_b": [0, 1]}
+        fields[arm] = bad
+        with pytest.raises(ValueError, match=f"^{arm}: .* is not a number"):
+            TwoPathState(**fields)
+
     def test_two_path_state_requires_matching_dims(self):
         with pytest.raises(ValueError, match="dimensions differ"):
             TwoPathState(1.0, 0.0, [1, 0], [0, 1, 0])

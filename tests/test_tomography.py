@@ -22,6 +22,7 @@ from photon_duality import (
     to_density_matrix,
     vdc_triple,
 )
+from photon_duality import _kernels
 from photon_duality._kernels import _ULP_SLACK, EPS_MIN, P_FLOOR
 from photon_duality.pipeline import STAGE_TOMOGRAPHY
 from photon_duality.scenarios import default_scenarios, reseed
@@ -32,6 +33,7 @@ from photon_duality.tomography import (
     OUTCOMES,
     PAULI,
     _collect,
+    _measurement_arrays,
 )
 
 HALF = math.sqrt(0.5)
@@ -438,9 +440,83 @@ class TestMLE:
         low, high = sample_counts(rho, 500, seeds), sample_counts(rho, 50_000, seeds)
         recs = [low[k] if k % 2 else high[k] for k in range(15)]
         result = mle_reconstruct(recs, max_iter=10_000)
-        assert result.converged and result.gap < 1e-8
-        assert certified_gap(result.rho_hat.matrix, recs) < 1e-8
+        total = sum(rec.shots for rec in recs)
+        assert result.converged and result.gap * total < 0.015
+        assert certified_gap(result.rho_hat.matrix, recs) * total < 0.015
         assert mle_reconstruct(recs, max_iter=100, tol=0.0).iterations == 100
+
+
+def kernel_run(records, max_iter, tol):
+    """``_kernels.mle_loop`` on a record set at the per-count threshold
+    ``tol``, as it ran before the stop was read in nats."""
+    return _kernels.mle_loop(*_measurement_arrays(_collect(records)), max_iter, tol)
+
+
+def exact_records(seed):
+    rho = to_density_matrix(random_two_path_state(np.random.default_rng(seed)))
+    return [exact_record(rho, m) for m in NONTRIVIAL_SETTINGS]
+
+
+class TestCertifiedStop:
+    """``tol`` is a total shortfall in nats; the kernel stops per count."""
+
+    @pytest.fixture()
+    def thresholds(self, monkeypatch):
+        # The per-count thresholds ``mle_reconstruct`` hands the kernel.
+        seen = []
+        loop = _kernels.mle_loop
+
+        def spy(projs, counts, freqs, max_iter, tol):
+            seen.append(tol)
+            return loop(projs, counts, freqs, max_iter, tol)
+
+        monkeypatch.setattr(_kernels, "mle_loop", spy)
+        return seen
+
+    def test_default_tol_is_1e8_per_count_at_the_defaults_shots(self, thresholds):
+        recs = oracle_input(0)
+        assert sum(rec.shots for rec in recs) == 1_500_000
+        mle_reconstruct(recs)
+        assert thresholds == [1e-8]
+
+    def test_integer_counts_at_one_shot_are_sampled(self, thresholds):
+        recs = sampled_records(to_density_matrix(bell_like_state()), 1, 3)
+        mle_reconstruct(recs, max_iter=3)
+        assert thresholds == [0.015 / 15]
+
+    def test_small_samples_certify_in_fewer_applications(self):
+        # At 4000 shots per setting a per-count 1e-8 certifies 6e-4 nats;
+        # 0.015 nats is reached sooner on the same path.
+        looser = tighter = 0
+        for sc in reseed(default_scenarios(), 42):
+            rho_true = to_density_matrix(sc.state)
+            seeds = [derive_seed(sc.seed, STAGE_TOMOGRAPHY, k) for k in range(15)]
+            recs = sample_counts(rho_true, 4000, seeds)
+            result = mle_reconstruct(recs)
+            _, iterations, _, _, converged = kernel_run(recs, 2000, 1e-8)
+            assert converged
+            assert result.converged and result.gap * 15 * 4000 < 0.015
+            assert result.iterations <= iterations
+            looser += result.iterations
+            tighter += iterations
+        assert looser < tighter
+
+    @pytest.mark.parametrize("seed", [43, 44, 45])
+    def test_exact_records_stop_as_before(self, seed):
+        recs = exact_records(seed)
+        result = mle_reconstruct(recs)
+        rho, iterations, ll, gap, converged = kernel_run(recs, 2000, 1e-8)
+        assert np.array_equal(result.rho_hat.matrix, rho)
+        assert (result.iterations, result.log_likelihood, result.gap, result.converged) == (
+            iterations, ll, gap, converged
+        )
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    def test_zero_tol_runs_the_whole_budget(self, exact):
+        rho = to_density_matrix(bell_like_state())
+        recs = exact_records(46) if exact else sampled_records(rho, 4000, 15)
+        result = mle_reconstruct(recs, max_iter=60, tol=0.0)
+        assert result.iterations == 60 and not result.converged
 
 
 class TestEstimateFromRho:
