@@ -42,6 +42,7 @@ import numpy as np
 
 from . import _kernels
 from .metrics import DualityTriple
+from .scenarios import DEFAULT_SHOTS
 from .seeding import make_rng
 from .states import DensityMatrix, wootters_concurrence
 
@@ -234,9 +235,9 @@ def _measurement_arrays(ordered: list[CountRecord]):
 
 # Records with fractional counts (``exact_record``) hold probabilities, not
 # samples, so they have no shot noise to scale the stop to.  They read ``tol``
-# at the default scenarios' 1e5 shots per setting, which at the default
-# ``tol`` is a shortfall of 1e-8 per count.
-_EXACT_RECORD_TOTAL = 15 * 100_000
+# at the default scenarios' shots, which at the default ``tol`` is a
+# shortfall of 1e-8 per count.
+_EXACT_RECORD_TOTAL = len(NONTRIVIAL_SETTINGS) * DEFAULT_SHOTS
 
 
 def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> TomographyResult:
@@ -259,9 +260,14 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> Tomogr
     ``gap < tol / N``: 1e-8 at 1e5 shots per setting.  Records with a
     fractional count are exact, with no shot noise to scale to, and stop at
     ``gap < tol / 1.5e6`` whatever their shots.  ``gap`` stays per count.
-    ``tol = 0.0`` runs the whole budget.  Non-convergence is reported, never
-    raised.
+    ``tol = 0.0`` runs the whole budget; a negative or non-finite ``tol``
+    raises ``ValueError``.  Non-convergence is reported, never raised.
+
+    This unit replaces a per-count ``tol`` (default 1e-8), an API break: a
+    per-count value passed here gives a stop N times tighter.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number of nats >= 0, got {tol!r}")
     ordered = _collect(records)
     projs, counts, freqs = _measurement_arrays(ordered)
     exact = not np.array_equal(counts, np.rint(counts))

@@ -397,9 +397,9 @@ class TestMLE:
         # The accelerated solver takes another path than the oracle, so it is
         # held to the optimum the oracle reaches when run to convergence, and
         # to the oracle's result at the default budget: no lower likelihood,
-        # no more iterations.
+        # no more iterations.  The stop is a shortfall of 1e-14 per count.
         recs = oracle_input(index)
-        result = mle_reconstruct(recs, tol=1e-14)
+        result = mle_reconstruct(recs, tol=1e-14 * sum(rec.shots for rec in recs))
         _, budget_iterations, budget_ll, _ = oracle_reconstruct(recs)
         rho, _, ll, converged = oracle_optimum(index)
         assert converged
@@ -517,6 +517,12 @@ class TestCertifiedStop:
         recs = exact_records(46) if exact else sampled_records(rho, 4000, 15)
         result = mle_reconstruct(recs, max_iter=60, tol=0.0)
         assert result.iterations == 60 and not result.converged
+
+    @pytest.mark.parametrize("tol", [-1e-8, -1.0, math.nan, math.inf, -math.inf])
+    def test_tol_outside_the_nats_range_is_rejected(self, tol):
+        recs = sampled_records(to_density_matrix(bell_like_state()), 4000, 16)
+        with pytest.raises(ValueError, match="tol"):
+            mle_reconstruct(recs, tol=tol)
 
 
 class TestEstimateFromRho:
