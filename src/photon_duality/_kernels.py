@@ -14,7 +14,13 @@ pure states, so the loop runs SQUAREM cycles (Varadhan & Roland, Scand. J.
 Stat. 35, 335, 2008): two plain steps t -> t1 -> t2, an extrapolation
 x = t - 2 a r + a^2 v with r = t1 - t, v = t2 - 2 t1 + t and
 a = min(-|r| / |v|, -1), and one full step from x, kept only when its
-likelihood is not below that of t2.  Every accepted state is therefore no
+likelihood is not below that of t2.  R rho R shrinks the vanishing
+eigenvalues of such optima only geometrically, so a cycle with four map
+applications left opens with one projected-gradient step (Shang, Zhang & Ng,
+PRA 95, 062336, 2017): rho + eta R / Tr(R rho) with its eigenvalues projected
+onto the unit simplex (Duchi et al., ICML 2008), which zeroes the small ones,
+kept only when it raises the likelihood; eta starts at 1, doubles on a kept
+step and halves on a rejected one.  Every accepted state is therefore no
 worse than the one before it.
 
 The log-likelihood ll(rho) = sum_k n_k log p_k is concave, so every iterate
@@ -80,20 +86,24 @@ def mle_loop(projs, counts, freqs, max_iter: int, tol: float):
     Returns (rho, iterations, log_likelihood, gap, converged).
 
     ``iterations`` counts applications of the map t -> R t, the extrapolated
-    ones included.  A cycle needs three, so with fewer than three left in
-    the budget the loop takes plain steps only (``max_iter <= 2`` is the
-    plain iteration).  Each cycle starts by building R at the current state
-    once, for its first plain step and for the certificate
+    and projected ones included.  A cycle needs three, plus one for its
+    projected step, so with fewer than three left in the budget the loop
+    takes plain steps only (``max_iter <= 2`` is the plain iteration) and
+    ``max_iter = 3`` is one cycle without the projected step.  Each cycle
+    builds R at its starting state once, for the projected step, the first
+    plain step and the certificate
     ``gap = max(lambda_max(R) / Tr(R rho) - 1, 0)`` (one n x n ``eigvalsh``),
-    and the loop stops when ``gap < tol``.  ``gap`` is returned for the
-    returned state and ``converged`` is ``gap < tol``, also when the loop
-    ends because no step short of ``EPS_MIN`` dilution keeps the likelihood;
-    ``tol = 0.0`` runs the whole budget.
+    and again after a kept projected step; the loop stops when ``gap < tol``.
+    ``gap`` is returned for the returned state and ``converged`` is
+    ``gap < tol``, also when the loop ends because no step short of
+    ``EPS_MIN`` dilution keeps the likelihood; ``tol = 0.0`` runs the whole
+    budget.
     """
     rows = _real_rows(projs)
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     n = projs.shape[-1]
+    settings = float(freqs.sum())  # Tr(R rho), the number of settings
 
     def unit(t):
         return t * (1.0 / math.sqrt(np.vdot(t, t).real))
@@ -136,15 +146,34 @@ def mle_loop(projs, counts, freqs, max_iter: int, tol: float):
         x = unit(t - 2.0 * alpha * r + alpha * alpha * v)
         return point(reweighting(_probabilities(rows, x @ x.conj().T)) @ x)
 
+    def projected(rho, r, eta):
+        # The projected-gradient step from rho, as the factor V sqrt(lambda)
+        # of its state; the simplex projection is the sort-based one.
+        w, vecs = np.linalg.eigh(rho + (eta / settings) * r)
+        u = w[::-1]
+        css = np.cumsum(u) - 1.0
+        k = np.flatnonzero(u * np.arange(1, n + 1) > css)[-1]
+        return point(vecs * np.sqrt(np.maximum(w - css[k] / (k + 1), 0.0)))
+
     # The factor I, scaled by ``point`` to I / sqrt(n), gives rho = I / n.
     cur = point(np.eye(n, dtype=np.complex128))
     iterations = 0
+    eta = 1.0
     while True:
         r = reweighting(cur[2])
         rt = r @ cur[0]
         gap = certificate(r, cur[0], rt)
         if gap < tol or iterations >= max_iter:
             break
+        if max_iter - iterations >= 4:
+            cand = projected(cur[1], r, eta)
+            iterations += 1
+            if cand[3] > cur[3]:
+                cur, eta = cand, 2.0 * eta
+                r = reweighting(cur[2])
+                rt = r @ cur[0]
+            else:
+                eta *= 0.5
         full_cycle = max_iter - iterations >= 3
         t1 = plain_step(cur, rt)
         iterations += 1

@@ -13,10 +13,11 @@ Counts are held one way: a read-only (4,) array per setting, ordered as
 ``OUTCOMES``.
 
 Reconstruction is maximum likelihood: reweighted sandwich updates R rho R
-on a factor of the state, accelerated by SQUAREM extrapolation, starting at
-the maximally mixed state and stopping once its total log-likelihood
-shortfall is certified below ``tol`` nats, so the estimate is always
-physical.  The inner loop lives in ``_kernels``.
+on a factor of the state, accelerated by SQUAREM extrapolation, with one
+projected-gradient step per cycle that sets vanishing eigenvalues to zero,
+starting at the maximally mixed state and stopping once its total
+log-likelihood shortfall is certified below ``tol`` nats, so the estimate is
+always physical.  The inner loop lives in ``_kernels``.
 
 All 64 outcome projectors (16 settings x 4 outcomes) form one read-only
 stack, built on first use and shared by the outcome table and the MLE loop,
@@ -35,6 +36,7 @@ with shots = 1) for noise-free checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -246,9 +248,12 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> Tomogr
     Iterates the reweighted-sandwich fixed point from the maximally mixed
     state on a factor t of rho = t t^H, so every iterate is positive
     semidefinite, accepting only likelihood-non-decreasing steps (full step
-    when it improves, diluted otherwise) and extrapolating every two steps
-    (SQUAREM; see ``_kernels``).  ``iterations`` counts applications of the
-    update map, extrapolated ones included; ``max_iter`` bounds it.
+    when it improves, diluted otherwise), extrapolating every two steps
+    (SQUAREM) and opening each such cycle with one projected-gradient step
+    kept only when it raises the likelihood (see ``_kernels``).
+    ``iterations`` counts applications of the update map, extrapolated and
+    projected ones included; ``max_iter`` bounds it and must be an integer
+    >= 0 (a bool, float, NaN or inf raises ``ValueError``).
 
     ``tol`` is the certified total log-likelihood shortfall in nats at which
     the run stops (Glancy, Knill & Girard, New J. Phys. 14, 095017, 2012).
@@ -266,6 +271,8 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> Tomogr
     This unit replaces a per-count ``tol`` (default 1e-8), an API break: a
     per-count value passed here gives a stop N times tighter.
     """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number of nats >= 0, got {tol!r}")
     ordered = _collect(records)

@@ -140,7 +140,10 @@ class TestConvergenceWarning:
 
     def test_json_converged_iff_gap_below_tol(self, config_path, monkeypatch, capsys):
         # The default budget certifies every seed-42 default; a budget of
-        # three map applications certifies neither scenario of the config.
+        # three map applications (one SQUAREM cycle, too few for a projected
+        # step) certifies neither scenario of the config.  Each report is
+        # held to its own per-count threshold, 0.015 nats over its 15 * shots
+        # counts.
         assert run_cli("experiment", "--defaults", "--seed", "42", "--format", "json") == 0
         reports = json.loads(capsys.readouterr().out)
         monkeypatch.setattr(
@@ -150,7 +153,7 @@ class TestConvergenceWarning:
         reports += json.loads(capsys.readouterr().out)
         assert [r["mle_converged"] for r in reports] == [True] * 7 + [False] * 2
         for r in reports:
-            assert r["mle_converged"] == (r["mle_gap"] < 1e-8)
+            assert r["mle_converged"] == (r["mle_gap"] < 0.015 / (15 * r["shots"]))
 
 
 class TestSphere:
