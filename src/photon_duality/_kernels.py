@@ -18,10 +18,11 @@ likelihood is not below that of t2.  R rho R shrinks the vanishing
 eigenvalues of such optima only geometrically, so a cycle with four map
 applications left opens with one projected-gradient step (Shang, Zhang & Ng,
 PRA 95, 062336, 2017): rho + eta R / Tr(R rho) with its eigenvalues projected
-onto the unit simplex (Duchi et al., ICML 2008), which zeroes the small ones,
-kept only when it raises the likelihood; eta starts at 1, doubles on a kept
-step and halves on a rejected one.  Every accepted state is therefore no
-worse than the one before it.
+onto the unit simplex (Duchi et al., ICML 2008), which zeroes the small ones.
+No other step brings a zeroed direction back, so the step is kept only when
+it raises the likelihood and R at its state favours no zeroed direction;
+eta starts at 1, doubles on a kept step and halves otherwise.  Every
+accepted state is therefore no worse than the one before it.
 
 The log-likelihood ll(rho) = sum_k n_k log p_k is concave, so every iterate
 carries the bound ll* - ll <= lambda_max(G) - Tr(G rho), where
@@ -93,17 +94,16 @@ def mle_loop(projs, counts, freqs, max_iter: int, tol: float):
     builds R at its starting state once, for the projected step, the first
     plain step and the certificate
     ``gap = max(lambda_max(R) / Tr(R rho) - 1, 0)`` (one n x n ``eigvalsh``),
-    and again after a kept projected step; the loop stops when ``gap < tol``.
-    ``gap`` is returned for the returned state and ``converged`` is
-    ``gap < tol``, also when the loop ends because no step short of
-    ``EPS_MIN`` dilution keeps the likelihood; ``tol = 0.0`` runs the whole
-    budget.
+    and again after a projected step that raises the likelihood, to test its
+    zeroed directions; the loop stops when ``gap < tol``.  ``gap`` is
+    returned for the returned state and ``converged`` is ``gap < tol``, also
+    when the loop ends because no step short of ``EPS_MIN`` dilution keeps
+    the likelihood; ``tol = 0.0`` runs the whole budget.
     """
     rows = _real_rows(projs)
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     n = projs.shape[-1]
-    settings = float(freqs.sum())  # Tr(R rho), the number of settings
 
     def unit(t):
         return t * (1.0 / math.sqrt(np.vdot(t, t).real))
@@ -147,13 +147,14 @@ def mle_loop(projs, counts, freqs, max_iter: int, tol: float):
         return point(reweighting(_probabilities(rows, x @ x.conj().T)) @ x)
 
     def projected(rho, r, eta):
-        # The projected-gradient step from rho, as the factor V sqrt(lambda)
-        # of its state; the simplex projection is the sort-based one.
-        w, vecs = np.linalg.eigh(rho + (eta / settings) * r)
+        # The projected-gradient step's point (sort-based simplex projection)
+        # and the eigenvectors whose lambda it sets to 0.
+        w, vecs = np.linalg.eigh(rho + (eta / freqs.sum()) * r)  # Tr(R rho)
         u = w[::-1]
         css = np.cumsum(u) - 1.0
         k = np.flatnonzero(u * np.arange(1, n + 1) > css)[-1]
-        return point(vecs * np.sqrt(np.maximum(w - css[k] / (k + 1), 0.0)))
+        lam = np.maximum(w - css[k] / (k + 1), 0.0)
+        return point(vecs * np.sqrt(lam)), vecs[:, lam == 0.0]
 
     # The factor I, scaled by ``point`` to I / sqrt(n), gives rho = I / n.
     cur = point(np.eye(n, dtype=np.complex128))
@@ -166,18 +167,20 @@ def mle_loop(projs, counts, freqs, max_iter: int, tol: float):
         if gap < tol or iterations >= max_iter:
             break
         if max_iter - iterations >= 4:
-            cand = projected(cur[1], r, eta)
+            cand, zeroed = projected(cur[1], r, eta)
             iterations += 1
-            if cand[3] > cur[3]:
-                cur, eta = cand, 2.0 * eta
-                r = reweighting(cur[2])
-                rt = r @ cur[0]
-            else:
-                eta *= 0.5
+            eta *= 0.5  # and 4x back if kept: eta doubles on a kept step
+            if cand[3] > cur[3]:  # kept if v^H R v <= Tr(R rho) for zeroed v
+                r1 = reweighting(cand[2])
+                rt1 = r1 @ cand[0]
+                nul = zeroed.conj().T @ r1 @ zeroed
+                if not nul.size or np.linalg.eigvalsh(nul)[-1] <= np.vdot(cand[0], rt1).real:
+                    cur, r, rt, eta = cand, r1, rt1, 4.0 * eta
         full_cycle = max_iter - iterations >= 3
         t1 = plain_step(cur, rt)
         iterations += 1
         if t1 is None:
+            gap = certificate(r, cur[0], rt)
             break
         if not full_cycle:
             cur = t1

@@ -248,9 +248,8 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> Tomogr
     Iterates the reweighted-sandwich fixed point from the maximally mixed
     state on a factor t of rho = t t^H, so every iterate is positive
     semidefinite, accepting only likelihood-non-decreasing steps (full step
-    when it improves, diluted otherwise), extrapolating every two steps
-    (SQUAREM) and opening each such cycle with one projected-gradient step
-    kept only when it raises the likelihood (see ``_kernels``).
+    when it improves, diluted otherwise) and extrapolating every two steps
+    (SQUAREM, each cycle opened by a projected-gradient step; see ``_kernels``).
     ``iterations`` counts applications of the update map, extrapolated and
     projected ones included; ``max_iter`` bounds it and must be an integer
     >= 0 (a bool, float, NaN or inf raises ``ValueError``).
