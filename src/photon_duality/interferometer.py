@@ -15,17 +15,22 @@ Visibility is extracted from a scan by linear least squares on the basis
 {1, cos phi, sin phi}, which solves the model form exactly and degrades
 gracefully under shot noise.  Arm blocking needs no model here: blocking
 one arm leaves the other arm's path probability |c|^2.
+
+Each phase grid's constants (the grid, e^{i phi} and the fit design) are
+built once and kept read-only in a small cache keyed by the grid's bytes, so
+scans of one grid share them; ``phase_grid(n)`` returns one shared array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .states import TwoPathState
+from .states import TwoPathState, _check_count
 
 DEFAULT_PHASE_POINTS = 64
 MIN_PHASE_POINTS = 8
@@ -33,20 +38,52 @@ MIN_PHASE_POINTS = 8
 MAX_PHASE_POINTS = 2**20
 # A scan must cover at least this fraction of a full period to be fittable.
 MIN_SPAN = 2.0 * math.pi * 7.0 / 8.0
+# Grids whose constants are kept, at ~48 B a point (48 MiB at MAX_PHASE_POINTS).
+_GRIDS_KEPT = 4
+
+
+class _Grid(NamedTuple):
+    phases: np.ndarray
+    factors: np.ndarray  # e^{i phi}
+    design: np.ndarray  # columns 1, cos phi, sin phi
+
+
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
+def _grid(key: bytes) -> _Grid:
+    """Read-only constants of the float64 grid whose bytes are ``key``."""
+    phases = np.frombuffer(key, dtype=np.float64)
+    factors = np.exp(1j * phases)
+    design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
+    factors.setflags(write=False)
+    design.setflags(write=False)
+    return _Grid(phases, factors, design)
+
+
+def _constants(phases) -> _Grid:
+    phases = np.asarray(phases, dtype=np.float64)
+    if phases.ndim != 1:
+        raise ValueError(f"phases must be a 1-D array, got shape {phases.shape}")
+    return _grid(phases.tobytes())
+
+
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
+def _uniform_grid(n: int) -> np.ndarray:
+    return _grid(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False).tobytes()).phases
 
 
 def phase_grid(n: int = DEFAULT_PHASE_POINTS) -> np.ndarray:
-    """Uniform grid of n phases on [0, 2*pi), endpoint excluded."""
-    if n < MIN_PHASE_POINTS:
-        raise ValueError(f"need at least {MIN_PHASE_POINTS} phase points, got {n}")
-    return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    """Uniform grid of n phases on [0, 2*pi), endpoint excluded; n is an int.
+
+    Every call with the same n returns one shared, read-only array.
+    """
+    return _uniform_grid(_check_count(n, "n", MIN_PHASE_POINTS))
 
 
 @dataclass(frozen=True, eq=False)
 class FringeScan:
     """Detection probability sampled (or evaluated exactly) over a phase grid.
 
-    ``shots_per_point`` is 0 for exact scans and >= 1 for Monte Carlo ones.
+    ``shots_per_point`` is an int: 0 for exact scans, >= 1 for Monte Carlo ones.
     """
 
     phases: np.ndarray
@@ -60,14 +97,13 @@ class FringeScan:
             raise ValueError("phases and probabilities must be matching 1-D arrays")
         if phases.size < MIN_PHASE_POINTS:
             raise ValueError(f"a scan needs at least {MIN_PHASE_POINTS} points, got {phases.size}")
-        if not np.all(np.isfinite(phases)) or not np.all(np.isfinite(probs)):
+        if not (np.isfinite(phases).all() and np.isfinite(probs).all()):
             raise ValueError("scan contains non-finite values")
-        if np.any(np.diff(phases) <= 0.0):
+        if not (phases[1:] > phases[:-1]).all():
             raise ValueError("phases must be strictly increasing")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if probs.min() < 0.0 or probs.max() > 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
-        if self.shots_per_point < 0:
-            raise ValueError("shots_per_point must be >= 0")
+        _check_count(self.shots_per_point, "shots_per_point", 0)
         phases.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "phases", phases)
@@ -80,14 +116,10 @@ class FringeScan:
 
 
 def detection_probabilities(s: TwoPathState, phases: np.ndarray) -> np.ndarray:
-    """Exact "+"-port detection probabilities over a grid."""
-    phases = np.asarray(phases, dtype=np.float64)
-    amps = (
-        np.exp(1j * phases)[:, None] * s.c_a * s.phi_a[None, :]
-        + s.c_b * s.phi_b[None, :]
-    )
-    p = 0.5 * np.sum(np.abs(amps) ** 2, axis=1)
-    return np.clip(p, 0.0, 1.0)
+    """Exact "+"-port detection probabilities over a 1-D grid."""
+    factors = _constants(phases).factors
+    amps = factors[:, None] * s.c_a * s.phi_a[None, :] + s.c_b * s.phi_b[None, :]
+    return (0.5 * (np.abs(amps) ** 2).sum(axis=1)).clip(0.0, 1.0)
 
 
 def fringe_scan(s: TwoPathState, phases: np.ndarray | None = None) -> FringeScan:
@@ -108,16 +140,14 @@ def sample_fringe_scan(
     phases: np.ndarray | None = None,
 ) -> FringeScan:
     """Monte Carlo fringe scan: binomial counts at each phase point."""
-    if shots_per_point < 1:
-        raise ValueError(f"shots_per_point must be >= 1, got {shots_per_point}")
+    shots_per_point = _check_count(shots_per_point, "shots_per_point", 1)
     if phases is None:
         phases = phase_grid()
-    p = detection_probabilities(s, np.asarray(phases, dtype=np.float64))
-    counts = rng.binomial(shots_per_point, p)
+    counts = rng.binomial(shots_per_point, detection_probabilities(s, phases))
     return FringeScan(
         phases=phases,
         probabilities=counts / float(shots_per_point),
-        shots_per_point=int(shots_per_point),
+        shots_per_point=shots_per_point,
     )
 
 
@@ -139,9 +169,7 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
         raise ValueError(
             f"scan spans {span:.4f} rad; need >= {MIN_SPAN:.4f} to fit a fringe"
         )
-    design = np.column_stack(
-        [np.ones_like(scan.phases), np.cos(scan.phases), np.sin(scan.phases)]
-    )
+    design = _constants(scan.phases).design
     coef, *_ = np.linalg.lstsq(design, scan.probabilities, rcond=None)
     a0, bc, bs = (float(c) for c in coef)
     if not all(math.isfinite(c) for c in (a0, bc, bs)) or abs(a0) < 1e-9:

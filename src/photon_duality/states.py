@@ -45,6 +45,13 @@ def _require_number(value, name: str) -> None:
         raise ValueError(f"{name}: {type(value).__name__} is not a number")
 
 
+def _check_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int >= ``minimum``; a bool, float or NaN raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _unit_vector(values, name: str) -> np.ndarray:
     """Arm ``name`` as a read-only complex128 unit vector of dimension >= 2."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iufc"):

@@ -36,7 +36,6 @@ with shots = 1) for noise-free checks.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -46,7 +45,7 @@ from . import _kernels
 from .metrics import DualityTriple
 from .scenarios import DEFAULT_SHOTS
 from .seeding import make_rng
-from .states import DensityMatrix, wootters_concurrence
+from .states import DensityMatrix, _check_count, wootters_concurrence
 
 PAULI: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=np.complex128),
@@ -150,8 +149,7 @@ class CountRecord:
     shots: int
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        _check_count(self.shots, "shots", 1)
         counts = np.array(self.counts)
         if counts.shape != (len(OUTCOMES),) or counts.dtype.kind not in "iuf":
             raise ValueError(f"counts must be a numeric ({len(OUTCOMES)},) array in OUTCOMES order")
@@ -170,13 +168,12 @@ def sample_counts(rho: DensityMatrix, shots: int, seeds) -> list[CountRecord]:
     """One record per setting of ``NONTRIVIAL_SETTINGS``: setting k is a
     multinomial draw of ``shots`` from its exact outcome distribution, made
     by the generator of ``seeds[k]``; seed-deterministic."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _check_count(shots, "shots", 1)
     if len(seeds) != len(NONTRIVIAL_SETTINGS):
         raise ValueError(f"need one seed per nontrivial setting (15), got {len(seeds)}")
     table = _outcome_table(rho)[1:]
     return [
-        CountRecord(m, make_rng(seed).multinomial(shots, p), shots=int(shots))
+        CountRecord(m, make_rng(seed).multinomial(shots, p), shots=shots)
         for m, seed, p in zip(NONTRIVIAL_SETTINGS, seeds, table)
     ]
 
@@ -270,8 +267,7 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> Tomogr
     This unit replaces a per-count ``tol`` (default 1e-8), an API break: a
     per-count value passed here gives a stop N times tighter.
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    _check_count(max_iter, "max_iter", 0)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number of nats >= 0, got {tol!r}")
     ordered = _collect(records)

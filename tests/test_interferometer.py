@@ -1,11 +1,15 @@
 """Fringe model, visibility fitting, arm-local unitaries."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from photon_duality import (
+    FringeFit,
     FringeScan,
     TwoPathState,
     detection_probabilities,
@@ -18,6 +22,7 @@ from photon_duality import (
     sample_fringe_scan,
     visibility,
 )
+from photon_duality import interferometer
 
 HALF = math.sqrt(0.5)
 
@@ -30,6 +35,44 @@ def random_unitary(rng, dim=2):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def reference_probabilities(s, phases):
+    """``detection_probabilities`` as first written, rebuilding e^{i phi} per call."""
+    phases = np.asarray(phases, dtype=np.float64)
+    amps = (
+        np.exp(1j * phases)[:, None] * s.c_a * s.phi_a[None, :]
+        + s.c_b * s.phi_b[None, :]
+    )
+    p = 0.5 * np.sum(np.abs(amps) ** 2, axis=1)
+    return np.clip(p, 0.0, 1.0)
+
+
+def reference_fit(scan):
+    """``fit_fringe`` as first written, rebuilding the design per call."""
+    design = np.column_stack(
+        [np.ones_like(scan.phases), np.cos(scan.phases), np.sin(scan.phases)]
+    )
+    coef, *_ = np.linalg.lstsq(design, scan.probabilities, rcond=None)
+    a0, bc, bs = (float(c) for c in coef)
+    residuals = scan.probabilities - design @ coef
+    return FringeFit(
+        v_hat=min(1.0, max(0.0, math.hypot(bc, bs) / a0)),
+        theta0_hat=math.atan2(-bs, bc),
+        rmse=float(np.sqrt(np.mean(residuals**2))),
+    )
+
+
+def sample_grids():
+    """Uniform, shifted and non-uniform increasing grids, each long enough to fit."""
+    steps = np.random.default_rng(40).uniform(0.5, 1.5, 47)
+    uneven = np.concatenate([[0.0], np.cumsum(steps)]) * (6.0 / steps.sum())
+    return {
+        "uniform-16": phase_grid(16),
+        "uniform-64": phase_grid(64),
+        "shifted": phase_grid(64) + 0.3,
+        "uneven": uneven,
+    }
 
 
 def rotation(beta):
@@ -106,12 +149,139 @@ class TestFringeScan:
         with pytest.raises(ValueError, match=">= 0"):
             FringeScan(grid, np.full(16, 0.5), shots_per_point=-1)
 
+    @pytest.mark.parametrize("shots", [2.5, 1000.0, math.nan, True, "3"])
+    def test_shots_per_point_must_be_an_int(self, shots):
+        with pytest.raises(ValueError, match="shots_per_point must be an integer >= 0"):
+            FringeScan(phase_grid(16), np.full(16, 0.5), shots_per_point=shots)
+
+    @pytest.mark.parametrize("shots", [1.9, 1000.0, math.nan, True, 0])
+    def test_sampled_shots_must_be_a_positive_int(self, shots):
+        # numpy truncates a float n: 1.9 once drew binomial(1, p) and divided by 1.9.
+        s = state_with_overlap(HALF, HALF, 0.5)
+        with pytest.raises(ValueError, match="shots_per_point must be an integer >= 1"):
+            sample_fringe_scan(s, shots, np.random.default_rng(5))
+
+    def test_numpy_integer_shots_accepted(self):
+        s = state_with_overlap(HALF, HALF, 0.5)
+        a = sample_fringe_scan(s, np.int64(1000), np.random.default_rng(5))
+        b = sample_fringe_scan(s, 1000, np.random.default_rng(5))
+        np.testing.assert_array_equal(a.probabilities, b.probabilities)
+        assert a.shots_per_point == 1000
+
     def test_sampled_scan_is_seed_deterministic(self):
         s = state_with_overlap(HALF, HALF, 0.5)
         a = sample_fringe_scan(s, 1000, np.random.default_rng(5))
         b = sample_fringe_scan(s, 1000, np.random.default_rng(5))
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
         assert a.noisy and a.shots_per_point == 1000
+
+
+class TestPhaseGrid:
+    @pytest.mark.parametrize("n", [64.0, 16.5, math.nan, True, "64", None])
+    def test_point_count_must_be_an_int(self, n):
+        # 64.0 == 64 and both hash alike, so a cache keyed by n would hand back
+        # the 64-point grid if the type were not checked first.
+        with pytest.raises(ValueError, match="n must be an integer >= 8"):
+            phase_grid(n)
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(ValueError, match="n must be an integer >= 8"):
+            phase_grid(7)
+
+    def test_grid_is_shared_and_read_only(self):
+        grid = phase_grid(16)
+        assert phase_grid(16) is grid and phase_grid(np.int64(16)) is grid
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 1.0
+        assert not any(a.flags.writeable for a in interferometer._grid(grid.tobytes()))
+        np.testing.assert_array_equal(grid, np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
+
+    def test_cache_is_bounded(self):
+        s = state_with_overlap(HALF, HALF, 0.5)
+        for n in range(8, 40):
+            fit_fringe(fringe_scan(s, phase_grid(n) + 0.1))
+        for cached in (interferometer._grid, interferometer._uniform_grid):
+            info = cached.cache_info()
+            assert info.maxsize is not None and info.maxsize <= 8
+            assert info.currsize <= info.maxsize
+
+    def test_non_1d_phases_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            detection_probabilities(state_with_overlap(HALF, HALF, 0.5), 0.5)
+
+
+class TestCachedConstantsBitIdentical:
+    """Cached grid constants change no bit of a probability or a fit."""
+
+    @pytest.mark.parametrize("grid_name", sorted(sample_grids()))
+    def test_exact_scans(self, grid_name):
+        grid = sample_grids()[grid_name]
+        rng = np.random.default_rng(41)
+        for dim in (2, 3, 4, 5):
+            for _ in range(10):
+                s = random_two_path_state(rng, dim=dim)
+                p = detection_probabilities(s, grid)
+                assert np.array_equal(p, reference_probabilities(s, grid))
+                scan = fringe_scan(s, grid)
+                assert np.array_equal(scan.probabilities, p)
+                assert fit_fringe(scan) == reference_fit(scan)
+
+    @pytest.mark.parametrize("grid_name", sorted(sample_grids()))
+    def test_sampled_scans(self, grid_name):
+        grid = sample_grids()[grid_name]
+        rng = np.random.default_rng(42)
+        for dim in (2, 3, 4, 5):
+            for seed in range(5):
+                s = random_two_path_state(rng, dim=dim)
+                scan = sample_fringe_scan(s, 1000, np.random.default_rng(seed), phases=grid)
+                counts = np.random.default_rng(seed).binomial(1000, reference_probabilities(s, grid))
+                assert np.array_equal(scan.probabilities, counts / 1000.0)
+                assert fit_fringe(scan) == reference_fit(scan)
+
+    def test_list_phases(self):
+        s = random_two_path_state(np.random.default_rng(43), dim=3)
+        phases = [0.0, 0.5, 2.0]
+        assert np.array_equal(detection_probabilities(s, phases), reference_probabilities(s, phases))
+
+
+_MAGNITUDES = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+# Phase factors; the exact ones keep |gamma| = 1 exact.
+_UNIT_PHASES = st.one_of(
+    st.sampled_from([1.0, -1.0, 1j, -1j]),
+    st.floats(-math.pi, math.pi).map(lambda x: cmath.exp(1j * x)),
+)
+
+
+@st.composite
+def tagged_states(draw):
+    """States of d = 2..5 whose |gamma| and path amplitudes may be exactly 0 or 1."""
+    dim = draw(st.integers(2, 5))
+    i, j = draw(st.permutations(range(dim)))[:2]
+    g, a = draw(_MAGNITUDES), draw(st.floats(0.0, 1.0))
+    phi_a = np.zeros(dim, dtype=complex)
+    phi_a[i] = 1.0
+    phi_b = np.zeros(dim, dtype=complex)
+    phi_b[i] = g * draw(_UNIT_PHASES)  # gamma = <phi_a|phi_b>
+    phi_b[j] = math.sqrt(1.0 - g * g)
+    c_a = a * draw(_UNIT_PHASES)
+    c_b = math.sqrt(1.0 - a * a) * draw(_UNIT_PHASES)
+    return TwoPathState(c_a, c_b, phi_a, phi_b)
+
+
+class TestExactFitProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(s=tagged_states(), n=st.sampled_from([8, 13, 64, 200]))
+    @example(s=state_with_overlap(HALF, HALF, 1.0), n=64)
+    @example(s=state_with_overlap(HALF, HALF, 0.0), n=64)
+    @example(s=TwoPathState(HALF, -HALF, np.eye(5)[4], 1j * np.eye(5)[4]), n=8)
+    def test_exact_fit_recovers_v_and_theta0(self, s, n):
+        fit = fit_fringe(fringe_scan(s, phase_grid(n)))
+        v = visibility(s)
+        assert abs(fit.v_hat - v) < 1e-9
+        if v >= 1e-3:
+            theta0 = cmath.phase(s.c_a * s.c_b.conjugate() * overlap(s).conjugate())
+            delta = (fit.theta0_hat - theta0 + math.pi) % (2 * math.pi) - math.pi
+            assert abs(delta) < 1e-8
 
 
 class TestVisibilityExtraction:

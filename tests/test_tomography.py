@@ -314,6 +314,21 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="seed must be in"):
             sample_counts(MIXED, 100, [0] * 14 + [2**64])
 
+    @pytest.mark.parametrize("shots", [1.9, 100.0, math.nan, True, "100", 0, -5])
+    def test_shots_must_be_a_positive_int(self, shots):
+        # numpy truncates a float n, so 1.9 once drew one shot per setting.
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+            sample_counts(MIXED, shots, list(range(15)))
+
+    @pytest.mark.parametrize("shots", [1.5, 100.0, math.nan, True, 0])
+    def test_count_record_shots_must_be_a_positive_int(self, shots):
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+            CountRecord(MeasurementSetting("X", "Z"), np.array([1.0, 0.0, 0.0, 0.0]) * shots, shots)
+
+    def test_numpy_integer_shots_accepted(self):
+        records = sample_counts(MIXED, np.int64(100), list(range(15)))
+        assert [rec.shots for rec in records] == [100] * 15
+
     def test_exact_record_matches_distribution(self):
         rho = to_density_matrix(bell_like_state())
         m = MeasurementSetting("X", "X")
