@@ -11,14 +11,16 @@ and the "-" port carries 1 - p.  Only relative phases are physically
 meaningful.  Phases are plain floats in radians throughout (reduced mod 2*pi
 for reporting only, never on storage).
 
-Visibility is extracted from a scan by linear least squares on the basis
+Visibility is extracted from a scan by least squares on the basis
 {1, cos phi, sin phi}, which solves the model form exactly and degrades
-gracefully under shot noise.  Arm blocking needs no model here: blocking
-one arm leaves the other arm's path probability |c|^2.
+gracefully under shot noise: one product with the pseudo-inverse of the
+grid's design.  Arm blocking needs no model here: blocking one arm leaves
+the other arm's path probability |c|^2.
 
-Each phase grid's constants (the grid, e^{i phi} and the fit design) are
-built once and kept read-only in a small cache keyed by the grid's bytes, so
-scans of one grid share them; ``phase_grid(n)`` returns one shared array.
+Each phase grid's constants (the grid, e^{i phi}, the fit design and its
+pseudo-inverse, ~72 B a point) are built once and kept read-only in a small
+cache keyed by the grid's bytes, so scans of one grid share them;
+``phase_grid(n)`` returns one shared array.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ MIN_PHASE_POINTS = 8
 MAX_PHASE_POINTS = 2**20
 # A scan must cover at least this fraction of a full period to be fittable.
 MIN_SPAN = 2.0 * math.pi * 7.0 / 8.0
-# Grids whose constants are kept, at ~48 B a point (48 MiB at MAX_PHASE_POINTS).
+# Grids whose constants are kept, at ~72 B a point (72 MiB at MAX_PHASE_POINTS).
 _GRIDS_KEPT = 4
 
 
@@ -46,6 +48,7 @@ class _Grid(NamedTuple):
     phases: np.ndarray
     factors: np.ndarray  # e^{i phi}
     design: np.ndarray  # columns 1, cos phi, sin phi
+    solve: np.ndarray | None  # pseudo-inverse of design; None if it is rank-deficient
 
 
 @functools.lru_cache(maxsize=_GRIDS_KEPT)
@@ -54,9 +57,14 @@ def _grid(key: bytes) -> _Grid:
     phases = np.frombuffer(key, dtype=np.float64)
     factors = np.exp(1j * phases)
     design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    solve = None  # unless lstsq's cutoff keeps every singular value
+    if sv[-1] > max(phases.size, 3) * np.finfo(np.float64).eps * sv[0]:
+        solve = vt.T @ ((1.0 / sv)[:, None] * u.T)
+        solve.setflags(write=False)
     factors.setflags(write=False)
     design.setflags(write=False)
-    return _Grid(phases, factors, design)
+    return _Grid(phases, factors, design, solve)
 
 
 def _constants(phases) -> _Grid:
@@ -161,22 +169,26 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     """Least-squares fit of p(phi) = A + B cos(phi + theta) to a scan.
 
     Returns the clamped contrast ``v_hat = B/A`` in [0, 1] along with the
-    fitted phase origin and the fit RMSE.  Raises on scans that cannot carry
-    a fringe (insufficient span, offset ~ 0).
+    fitted phase origin and the fit RMSE.  Raises ``ValueError`` on scans
+    that cannot carry a fringe (insufficient span, offset ~ 0) and on grids
+    that do not determine one (a rank-deficient design, e.g. every phase
+    equal mod 2*pi).
     """
     span = float(scan.phases[-1] - scan.phases[0])
     if span < MIN_SPAN:
         raise ValueError(
             f"scan spans {span:.4f} rad; need >= {MIN_SPAN:.4f} to fit a fringe"
         )
-    design = _constants(scan.phases).design
-    coef, *_ = np.linalg.lstsq(design, scan.probabilities, rcond=None)
+    grid = _constants(scan.phases)
+    if grid.solve is None:
+        raise ValueError("phase grid does not determine a fringe: its fit design is rank-deficient")
+    coef = grid.solve @ scan.probabilities
     a0, bc, bs = (float(c) for c in coef)
     if not all(math.isfinite(c) for c in (a0, bc, bs)) or abs(a0) < 1e-9:
         raise ValueError("degenerate scan: fitted offset is ~0, no fringe to extract")
     amplitude = math.hypot(bc, bs)
     theta0 = math.atan2(-bs, bc)
-    residuals = scan.probabilities - design @ coef
+    residuals = scan.probabilities - grid.design @ coef
     rmse = float(np.sqrt(np.mean(residuals**2)))
     v_hat = min(1.0, max(0.0, amplitude / a0))
     return FringeFit(v_hat=v_hat, theta0_hat=theta0, rmse=rmse)

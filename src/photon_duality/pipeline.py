@@ -16,15 +16,18 @@ stages are independent, reorderable, and bit-reproducible.
 This module is also the one output path of every CLI command: a command
 hands ``emit_table`` its CSV columns, its rows and its JSON records, and
 gets CSV (floats at 12 significant digits) or JSON back on stdout or in a
-file.  Reports use the fixed ``CSV_COLUMNS``; their JSON field names mirror
+file; JSON is written in batches of encoder pieces, never as one string.
+Reports use the fixed ``CSV_COLUMNS``; their JSON field names mirror
 ``RunReport``.  Estimated components are clamped into [0, 1] only when
 projected onto the unit sphere, never in the report itself.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -42,6 +45,9 @@ from .tomography import NONTRIVIAL_SETTINGS, estimate_vdc_from_rho, mle_reconstr
 STAGE_FRINGE = 0
 STAGE_BLOCKING = 1
 STAGE_TOMOGRAPHY = 2
+
+# JSON pieces joined into one write: long tables stream, short ones write once.
+_WRITE_BATCH = 4096
 
 CSV_COLUMNS = (
     "name",
@@ -199,44 +205,51 @@ def report_to_dict(r: RunReport) -> dict:
     }
 
 
-def render_table(columns, rows, records, fmt: str) -> str:
-    """CSV of ``rows`` under ``columns`` (floats at 12 significant digits), or
-    JSON of ``records``.  Only the chosen one is read, so either may be a
-    generator."""
+def _pieces(columns, rows, records, fmt):
+    """``render_table``'s text as an iterable of strings; checks ``fmt`` first."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
-        return buf.getvalue()
+        return [buf.getvalue()]
     if fmt == "json":
-        return json.dumps(list(records), indent=2) + "\n"
+        return itertools.chain(json.JSONEncoder(indent=2).iterencode(list(records)), ["\n"])
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
-def _write(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+def render_table(columns, rows, records, fmt: str) -> str:
+    """CSV of ``rows`` under ``columns`` (floats at 12 significant digits), or
+    JSON of ``records``.  Only the chosen one is read, so either may be a
+    generator."""
+    return "".join(_pieces(columns, rows, records, fmt))
+
+
+def _write(pieces, out) -> None:
+    """Write ``pieces`` in batches, so a long JSON document is never one string."""
+    pieces = iter(pieces)
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
+        for first in pieces:
+            fh.write(first + "".join(itertools.islice(pieces, _WRITE_BATCH - 1)))
 
 
 def emit_table(columns, rows, records, fmt: str, out) -> None:
     """Write ``render_table``'s text to a path, or to stdout when ``out`` is None."""
-    _write(render_table(columns, rows, records, fmt), out)
+    _write(_pieces(columns, rows, records, fmt), out)
+
+
+def _report_pieces(reports, fmt: str):
+    reports = list(reports)
+    if not reports:
+        raise ValueError("nothing to emit: no reports")
+    return _pieces(CSV_COLUMNS, map(_report_row, reports), map(report_to_dict, reports), fmt)
 
 
 def render_report(reports, fmt: str = "csv") -> str:
     """Serialize reports to a CSV or JSON string."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("nothing to emit: no reports")
-    return render_table(
-        CSV_COLUMNS, map(_report_row, reports), map(report_to_dict, reports), fmt
-    )
+    return "".join(_report_pieces(reports, fmt))
 
 
 def emit_report(reports, fmt: str = "csv", out=None) -> None:
     """Write serialized reports to a path, or to stdout when ``out`` is None."""
-    _write(render_report(reports, fmt), out)
+    _write(_report_pieces(reports, fmt), out)

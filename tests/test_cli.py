@@ -102,6 +102,14 @@ class TestExperiment:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_largest_seed_end_to_end(self, capsys):
+        argv = ("experiment", "--defaults", "--seed", str(2**64 - 1))
+        assert run_cli(*argv) == 0
+        first = capsys.readouterr()
+        assert first.err == "" and len(first.out.strip().split("\n")) == 8
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == first.out
+
     def test_different_seeds_differ(self, config_path, capsys):
         run_cli("experiment", "--config", str(config_path), "--seed", "5")
         first = capsys.readouterr().out

@@ -63,6 +63,16 @@ def reference_fit(scan):
     )
 
 
+def assert_fit_matches_lstsq(scan):
+    """``fit_fringe`` agrees with the ``lstsq`` reference to roundoff."""
+    fit, ref = fit_fringe(scan), reference_fit(scan)
+    assert abs(fit.v_hat - ref.v_hat) <= 1e-12
+    assert abs(fit.rmse - ref.rmse) <= 1e-12
+    if ref.v_hat >= 1e-3:
+        delta = (fit.theta0_hat - ref.theta0_hat + math.pi) % (2 * math.pi) - math.pi
+        assert abs(delta) <= 1e-9
+
+
 def sample_grids():
     """Uniform, shifted and non-uniform increasing grids, each long enough to fit."""
     steps = np.random.default_rng(40).uniform(0.5, 1.5, 47)
@@ -211,7 +221,8 @@ class TestPhaseGrid:
 
 
 class TestCachedConstantsBitIdentical:
-    """Cached grid constants change no bit of a probability or a fit."""
+    """Cached grid constants change no bit of a probability or a sampled count,
+    and the cached pseudo-inverse fits as ``lstsq`` does, to roundoff."""
 
     @pytest.mark.parametrize("grid_name", sorted(sample_grids()))
     def test_exact_scans(self, grid_name):
@@ -224,7 +235,7 @@ class TestCachedConstantsBitIdentical:
                 assert np.array_equal(p, reference_probabilities(s, grid))
                 scan = fringe_scan(s, grid)
                 assert np.array_equal(scan.probabilities, p)
-                assert fit_fringe(scan) == reference_fit(scan)
+                assert_fit_matches_lstsq(scan)
 
     @pytest.mark.parametrize("grid_name", sorted(sample_grids()))
     def test_sampled_scans(self, grid_name):
@@ -236,12 +247,54 @@ class TestCachedConstantsBitIdentical:
                 scan = sample_fringe_scan(s, 1000, np.random.default_rng(seed), phases=grid)
                 counts = np.random.default_rng(seed).binomial(1000, reference_probabilities(s, grid))
                 assert np.array_equal(scan.probabilities, counts / 1000.0)
-                assert fit_fringe(scan) == reference_fit(scan)
+                assert_fit_matches_lstsq(scan)
 
     def test_list_phases(self):
         s = random_two_path_state(np.random.default_rng(43), dim=3)
         phases = [0.0, 0.5, 2.0]
         assert np.array_equal(detection_probabilities(s, phases), reference_probabilities(s, phases))
+
+
+class TestPseudoInverseFit:
+    def test_pseudo_inverse_is_read_only(self):
+        solve = interferometer._constants(phase_grid(64)).solve
+        assert solve.shape == (3, 64)
+        with pytest.raises(ValueError, match="read-only"):
+            solve[0, 0] = 1.0
+
+    def test_clustered_grid_fits_as_lstsq(self):
+        # 7 phases 1e-6 apart plus one at 5.6: cond(design) ~ 3e6. Normal
+        # equations (D^T D)^-1 D^T p square that and miss by ~1e-3 in v_hat.
+        clustered = np.concatenate([np.arange(7) * 1e-6, [5.6]])
+        rng = np.random.default_rng(44)
+        for dim in (2, 3, 4, 5):
+            for _ in range(25):
+                scan = fringe_scan(random_two_path_state(rng, dim=dim), clustered)
+                fit, ref = fit_fringe(scan), reference_fit(scan)
+                assert abs(fit.v_hat - ref.v_hat) <= 1e-9
+                assert abs(fit.rmse - ref.rmse) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "phases",
+        [
+            2 * math.pi * np.arange(8),
+            math.pi * np.arange(8),
+            np.array([0.0, 1e-9, 2e-9, 3e-9, 4e-9, 5e-9, 2 * math.pi, 2 * math.pi + 1e-9]),
+        ],
+        ids=["all-2pi-apart", "pi-apart", "two-clusters"],
+    )
+    @pytest.mark.parametrize("g", [0.0, 0.96])
+    def test_grid_that_determines_no_fringe_rejected(self, phases, g):
+        # Each grid passes FringeScan's checks and the span check; its
+        # design's smallest singular value is < 1e-16 of its largest.
+        scan = fringe_scan(state_with_overlap(0.6, 0.8, g), phases)
+        with pytest.raises(ValueError, match="does not determine a fringe"):
+            fit_fringe(scan)
+
+    def test_clustered_but_determined_grid_accepted(self):
+        phases = np.concatenate([np.arange(7) * 1e-7, [5.6]])
+        fit = fit_fringe(fringe_scan(TwoPathState(0.6, 0.8, [1, 0], [0, 1]), phases))
+        assert fit.v_hat < 1e-6 and fit.rmse < 1e-6
 
 
 _MAGNITUDES = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))

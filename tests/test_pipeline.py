@@ -11,6 +11,7 @@ from photon_duality import (
     ScenarioError,
     TwoPathState,
     default_scenarios,
+    emit_report,
     load_scenarios,
     render_report,
     run_pipeline,
@@ -18,7 +19,14 @@ from photon_duality import (
     vdc_triple,
 )
 from photon_duality.interferometer import MAX_PHASE_POINTS
-from photon_duality.pipeline import CSV_COLUMNS, STAGE_BLOCKING, _clamp_point
+from photon_duality.pipeline import (
+    _WRITE_BATCH,
+    CSV_COLUMNS,
+    STAGE_BLOCKING,
+    _clamp_point,
+    emit_table,
+    render_table,
+)
 from photon_duality.scenarios import override_shots, reseed
 from photon_duality.seeding import derive_seed, make_rng
 
@@ -293,6 +301,32 @@ class TestEmission:
     def test_unknown_format_rejected(self, reports):
         with pytest.raises(ValueError, match="format"):
             render_report(reports, "yaml")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_report_writes_the_rendered_bytes(self, reports, fmt, tmp_path, capsys):
+        text = render_report(reports, fmt)
+        emit_report(reports, fmt, tmp_path / "out")
+        assert (tmp_path / "out").read_bytes() == text.encode()
+        emit_report(reports, fmt)
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_table_streams_a_long_table_unchanged(self, fmt, tmp_path):
+        # Each record is several JSON pieces, so this table spans many batches.
+        rows = [[f"p{k}", k / 7.0, k] for k in range(_WRITE_BATCH)]
+        records = [{"name": f"p{k}", "points": [[k / 7.0, 0.5]]} for k in range(_WRITE_BATCH)]
+        text = render_table(["name", "x", "k"], rows, records, fmt)
+        if fmt == "json":
+            assert text == json.dumps(records, indent=2) + "\n"
+        emit_table(["name", "x", "k"], iter(rows), iter(records), fmt, tmp_path / "out")
+        assert (tmp_path / "out").read_bytes() == text.encode()
+
+    def test_unknown_format_rejected_before_the_file_is_opened(self, reports, tmp_path):
+        with pytest.raises(ValueError, match="format"):
+            emit_table(["name"], [], [], "yaml", tmp_path / "table")
+        with pytest.raises(ValueError, match="format"):
+            emit_report(reports, "yaml", tmp_path / "report")
+        assert not any(tmp_path.iterdir())
 
     def test_empty_reports_rejected(self):
         with pytest.raises(ValueError, match="no reports"):

@@ -653,6 +653,15 @@ class TestEstimateFromRho:
         triple = estimate_vdc_from_rho(to_density_matrix(s))
         assert triple.as_tuple() == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
 
+    @pytest.mark.parametrize("c_a, c_b", [(0.0, 1.0), (1.0, 0.0)])
+    def test_empty_path_takes_the_gamma_fallback(self, c_a, c_b):
+        s = TwoPathState(c_a, c_b, [1, 0], [math.sqrt(0.5), math.sqrt(0.5)])
+        triple = estimate_vdc_from_rho(to_density_matrix(s))
+        assert triple.visibility == 0.0 and triple.distinguishability == 1.0
+        assert triple.gamma == 0j
+        values = (*triple.as_tuple(), triple.residual, triple.gamma.real, triple.gamma.imag)
+        assert all(math.isfinite(x) for x in values)
+
     def test_partial_state(self):
         s = TwoPathState(
             math.sqrt(0.7), math.sqrt(0.3), [1, 0], [0.5, math.sqrt(0.75)]
