@@ -51,6 +51,7 @@ from .tomography import (
     NONTRIVIAL_SETTINGS,
     CountRecord,
     MeasurementSetting,
+    RecordSet,
     TomographyResult,
     estimate_vdc_from_rho,
     exact_record,

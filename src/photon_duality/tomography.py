@@ -9,28 +9,26 @@ identity operator the -1 outcomes carry zero projectors, so their
 probability is exactly zero and the empirical expectation reduces to the
 marginal of the other qubit.
 
-Counts are held one way: a read-only (4,) array per setting, ordered as
-``OUTCOMES``.
+Counts are held one way: a ``RecordSet``, one read-only (15, 4) array in
+``NONTRIVIAL_SETTINGS`` x ``OUTCOMES`` order with each setting's shots.
 
-Reconstruction is maximum likelihood: reweighted sandwich updates R rho R
-on a factor of the state, accelerated by SQUAREM extrapolation, with one
-projected-gradient step per cycle that sets vanishing eigenvalues to zero,
-starting at the maximally mixed state and stopping once its total
-log-likelihood shortfall is certified below ``tol`` nats, so the estimate is
-always physical.  The inner loop lives in ``_kernels``.
+Reconstruction is maximum likelihood, always physical, from the projected
+linear-inversion state to a certified log-likelihood shortfall below ``tol``
+nats; the inner loop lives in ``_kernels``.
 
 All 64 outcome projectors (16 settings x 4 outcomes) form one read-only
 stack, built on first use and shared by the outcome table and the MLE loop,
-which reads the 60 rows of the nontrivial settings.  The outcome table is
+which reads the 60 rows of the nontrivial settings and, for its start, their
+pseudo-inverse, also built once.  The outcome table is
 one contraction of that stack with rho: the (16, 4) outcome distributions
 of all settings, from which both count sampling and ``exact_record`` read
 their rows.
 
-One ``sample_counts`` call draws a whole record set, one multinomial per
-nontrivial setting from that setting's own seed, so counts are reproducible
-bit-for-bit from their seeds; a record built by ``exact_record`` instead
-carries the infinite-shot limit (outcome probabilities as fractional counts
-with shots = 1) for noise-free checks.
+One ``sample_counts`` call draws a whole record set, row k one multinomial
+from setting k's own seed, so counts are reproducible bit-for-bit from their
+seeds.  A list of per-setting ``CountRecord``s, as ``exact_record`` builds,
+is read into a record set; such a record carries the infinite-shot limit
+(outcome probabilities as fractional counts with shots = 1).
 """
 
 from __future__ import annotations
@@ -134,48 +132,79 @@ def outcome_probabilities(rho: DensityMatrix, m: MeasurementSetting) -> np.ndarr
     return _outcome_table(rho)[ALL_SETTINGS.index(m)]
 
 
+def _checked_counts(counts, shots, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only copy of ``counts``, checked against ``shape`` and the
+    ``shots`` each row (the last axis, ordered as ``OUTCOMES``) must sum to."""
+    counts = np.array(counts)
+    if counts.shape != shape or counts.dtype.kind not in "iuf":
+        raise ValueError(f"counts must be a numeric {shape} array in OUTCOMES order")
+    totals = counts.sum(axis=-1, dtype=np.float64)
+    if not np.all(np.isfinite(totals)):  # a NaN or an infinite count
+        raise ValueError("counts must be finite")
+    if counts.min() < 0:
+        raise ValueError("counts must be non-negative")
+    expected = np.array(shots, dtype=np.float64)
+    off = np.flatnonzero(np.abs(totals - expected) > 1e-9 * np.maximum(1.0, expected))
+    if off.size:
+        k, shots = off[0], np.ravel(shots)
+        where = f" of setting {NONTRIVIAL_SETTINGS[k].label()}" if counts.ndim == 2 else ""
+        raise ValueError(f"counts{where} sum to {totals.flat[k]}, expected shots = {shots[k]}")
+    counts.setflags(write=False)
+    return counts
+
+
 @dataclass(frozen=True, eq=False)
 class CountRecord:
-    """Outcome counts for one measurement setting.
-
-    ``counts`` is a read-only (4,) array ordered as ``OUTCOMES``.  Sampled
-    records carry integer counts summing to ``shots``.  Records from
+    """Outcome counts for one measurement setting: ``counts`` is a read-only
+    (4,) array ordered as ``OUTCOMES`` that sums to ``shots``.  Records from
     ``exact_record`` carry the outcome probabilities themselves as fractional
-    counts with shots = 1 (the infinite-shot idealization).
-    """
+    counts with shots = 1 (the infinite-shot idealization)."""
 
     setting: MeasurementSetting
     counts: np.ndarray
     shots: int
 
     def __post_init__(self):
-        _check_count(self.shots, "shots", 1)
-        counts = np.array(self.counts)
-        if counts.shape != (len(OUTCOMES),) or counts.dtype.kind not in "iuf":
-            raise ValueError(f"counts must be a numeric ({len(OUTCOMES)},) array in OUTCOMES order")
-        total = float(counts.sum(dtype=np.float64))
-        if not math.isfinite(total):  # a NaN or an infinite count
-            raise ValueError("counts must be finite")
-        if counts.min() < 0:
-            raise ValueError("counts must be non-negative")
-        if abs(total - self.shots) > 1e-9 * max(1.0, self.shots):
-            raise ValueError(f"counts sum to {total}, expected shots = {self.shots}")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        shots = _check_count(self.shots, "shots", 1)
+        object.__setattr__(self, "counts", _checked_counts(self.counts, shots, (len(OUTCOMES),)))
 
 
-def sample_counts(rho: DensityMatrix, shots: int, seeds) -> list[CountRecord]:
-    """One record per setting of ``NONTRIVIAL_SETTINGS``: setting k is a
-    multinomial draw of ``shots`` from its exact outcome distribution, made
-    by the generator of ``seeds[k]``; seed-deterministic."""
+@dataclass(frozen=True, eq=False)
+class RecordSet:
+    """The counts of one tomography run, validated once: ``counts`` is a
+    read-only (15, 4) array, row k the setting ``NONTRIVIAL_SETTINGS[k]`` and
+    columns ordered as ``OUTCOMES``, and ``shots`` holds each setting's shots,
+    which its row sums to.  Every row obeys ``CountRecord``'s rules."""
+
+    counts: np.ndarray
+    shots: tuple[int, ...]
+
+    def __post_init__(self):
+        shots = tuple(_check_count(s, "shots", 1) for s in self.shots)
+        if len(shots) != len(NONTRIVIAL_SETTINGS):
+            raise ValueError(f"need the shots of each nontrivial setting (15), got {len(shots)}")
+        shape = (len(NONTRIVIAL_SETTINGS), len(OUTCOMES))
+        object.__setattr__(self, "counts", _checked_counts(self.counts, shots, shape))
+        object.__setattr__(self, "shots", shots)
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """Counts over the mean shots per setting: one divisor for all keeps
+        the kernel's R proportional to the likelihood's gradient under
+        uneven shots; with equal shots these are the frequencies exactly."""
+        return self.counts / (sum(self.shots) / len(self.shots))
+
+
+def sample_counts(rho: DensityMatrix, shots: int, seeds) -> RecordSet:
+    """The record set of ``NONTRIVIAL_SETTINGS``: row k is a multinomial draw
+    of ``shots`` from setting k's exact outcome distribution, made by the
+    generator of ``seeds[k]``; seed-deterministic."""
     shots = _check_count(shots, "shots", 1)
     if len(seeds) != len(NONTRIVIAL_SETTINGS):
         raise ValueError(f"need one seed per nontrivial setting (15), got {len(seeds)}")
     table = _outcome_table(rho)[1:]
-    return [
-        CountRecord(m, make_rng(seed).multinomial(shots, p), shots=shots)
-        for m, seed, p in zip(NONTRIVIAL_SETTINGS, seeds, table)
-    ]
+    counts = np.stack([make_rng(seed).multinomial(shots, p) for seed, p in zip(seeds, table)])
+    return RecordSet(counts, (shots,) * len(NONTRIVIAL_SETTINGS))
 
 
 def exact_record(rho: DensityMatrix, m: MeasurementSetting) -> CountRecord:
@@ -191,7 +220,7 @@ class TomographyResult:
 
     ``gap`` is the certified log-likelihood shortfall of ``rho_hat`` per
     count (times the total count N it is in nats), and ``converged`` is
-    ``gap < tol / N``, with N as ``mle_reconstruct`` reads it.
+    ``gap < tol / N`` where that stop is resolvable (see ``mle_reconstruct``).
     """
 
     rho_hat: DensityMatrix
@@ -201,8 +230,13 @@ class TomographyResult:
     gap: float
 
 
-def _collect(records) -> list[CountRecord]:
-    """Validate and order a record set: exactly the 15 nontrivial settings."""
+def _collect(records) -> RecordSet:
+    """``records`` as a ``RecordSet``; an iterable of ``CountRecord``s must
+    hold exactly the 15 nontrivial settings.  That adapter stays while the
+    benchmark's exact-record workload passes ``exact_record`` lists
+    (ROADMAP item 8)."""
+    if isinstance(records, RecordSet):
+        return records
     by_setting: dict[MeasurementSetting, CountRecord] = {}
     for rec in records:
         if rec.setting in by_setting:
@@ -214,22 +248,14 @@ def _collect(records) -> list[CountRecord]:
         raise ValueError(
             f"need exactly the 15 nontrivial settings; missing {missing}, extra {extra}"
         )
-    return [by_setting[m] for m in NONTRIVIAL_SETTINGS]
+    ordered = [by_setting[m] for m in NONTRIVIAL_SETTINGS]
+    return RecordSet(np.stack([rec.counts for rec in ordered]), tuple(rec.shots for rec in ordered))
 
 
-def _measurement_arrays(ordered: list[CountRecord]):
-    """Per-outcome projectors (shared stack rows), counts, and counts over the
-    mean shots per setting, of the 15 nontrivial settings in ``_collect``
-    order.
-
-    One divisor for every setting keeps the kernel's R proportional to the
-    gradient of sum_k counts_k log p_k, the likelihood it accepts steps by,
-    also when settings have uneven shots.  With equal shots it is each
-    setting's own shots, so the scaled counts are its frequencies exactly.
-    """
-    counts = np.stack([rec.counts for rec in ordered]).astype(np.float64)
-    mean_shots = sum(rec.shots for rec in ordered) / len(ordered)
-    return _projector_stack()[4:], counts.reshape(-1), counts.reshape(-1) / mean_shots
+@cache
+def _model() -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's read-only ``design`` of the 60 nontrivial outcome rows."""
+    return _kernels.design(_projector_stack()[4:])
 
 
 # Records with fractional counts (``exact_record``) hold probabilities, not
@@ -242,11 +268,11 @@ _EXACT_RECORD_TOTAL = len(NONTRIVIAL_SETTINGS) * DEFAULT_SHOTS
 def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> TomographyResult:
     """Maximum-likelihood reconstruction (always physical).
 
-    Iterates the reweighted-sandwich fixed point from the maximally mixed
-    state on a factor t of rho = t t^H, so every iterate is positive
-    semidefinite, accepting only likelihood-non-decreasing steps (full step
-    when it improves, diluted otherwise) and extrapolating every two steps
-    (SQUAREM, each cycle opened by a projected-gradient step; see ``_kernels``).
+    ``records`` is a ``RecordSet`` or the 15 ``CountRecord``s of the
+    nontrivial settings in any order.  ``_kernels.mle_loop`` iterates on a
+    factor t of rho = t t^H from the projected linear-inversion state, so
+    every iterate is positive semidefinite, and takes no step that lowers
+    the likelihood (SQUAREM cycles, each opened by a projected-gradient step).
     ``iterations`` counts applications of the update map, extrapolated and
     projected ones included; ``max_iter`` bounds it and must be an integer
     >= 0 (a bool, float, NaN or inf raises ``ValueError``).
@@ -261,27 +287,26 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> Tomogr
     ``gap < tol / N``: 1e-8 at 1e5 shots per setting.  Records with a
     fractional count are exact, with no shot noise to scale to, and stop at
     ``gap < tol / 1.5e6`` whatever their shots.  ``gap`` stays per count.
+    A stop ``tol / N`` below ``_kernels._ULP_SLACK`` (~3.6e-15, N above
+    ~4e12 at the default) is finer than the certificate resolves, so the
+    run stops there but never reports ``converged``.
     ``tol = 0.0`` runs the whole budget; a negative or non-finite ``tol``
     raises ``ValueError``.  Non-convergence is reported, never raised.
-
-    This unit replaces a per-count ``tol`` (default 1e-8), an API break: a
-    per-count value passed here gives a stop N times tighter.
     """
     _check_count(max_iter, "max_iter", 0)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number of nats >= 0, got {tol!r}")
-    ordered = _collect(records)
-    projs, counts, freqs = _measurement_arrays(ordered)
-    exact = not np.array_equal(counts, np.rint(counts))
-    total = _EXACT_RECORD_TOTAL if exact else sum(rec.shots for rec in ordered)
+    rs = _collect(records)
+    exact = not np.array_equal(rs.counts, np.rint(rs.counts))
+    stop = tol / (_EXACT_RECORD_TOTAL if exact else sum(rs.shots))
     rho_mat, iterations, ll, gap, converged = _kernels.mle_loop(
-        projs, counts, freqs, max_iter, tol / total
+        _model(), rs.counts.reshape(-1), rs.frequencies.reshape(-1), max_iter, stop
     )
     return TomographyResult(
         rho_hat=DensityMatrix(rho_mat),
         iterations=iterations,
         log_likelihood=ll,
-        converged=converged,
+        converged=converged and stop >= _kernels._ULP_SLACK,
         gap=gap,
     )
 

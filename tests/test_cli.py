@@ -55,6 +55,15 @@ class TestCompute:
         assert lines[0] == "name,V,D,C,residual"
         assert len(lines) == 8
 
+    @pytest.mark.parametrize("shots", [100, 2**63 - 1], ids=["min", "max"])
+    def test_shots_at_the_limits_change_nothing(self, shots, capsys):
+        # compute is closed-form: a shot budget at either end is accepted
+        # and ignored.
+        assert run_cli("compute", "--defaults") == 0
+        expected = capsys.readouterr().out
+        assert run_cli("compute", "--defaults", "--shots", str(shots)) == 0
+        assert capsys.readouterr() == (expected, "")
+
     def test_config_json(self, config_path, capsys):
         assert run_cli("compute", "--config", str(config_path), "--format", "json") == 0
         parsed = json.loads(capsys.readouterr().out)
@@ -110,6 +119,14 @@ class TestExperiment:
         assert run_cli(*argv) == 0
         assert capsys.readouterr().out == first.out
 
+    def test_min_shots_end_to_end(self, capsys):
+        argv = ("experiment", "--defaults", "--seed", "42", "--shots", "100", "--format", "json")
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        reports = json.loads(captured.out)
+        assert captured.err == "" and len(reports) == 7
+        assert all(r["mle_converged"] for r in reports)
+
     def test_different_seeds_differ(self, config_path, capsys):
         run_cli("experiment", "--config", str(config_path), "--seed", "5")
         first = capsys.readouterr().out
@@ -140,6 +157,16 @@ class TestConvergenceWarning:
         run_cli("experiment", "--config", str(config_path), "--seed", "5", "--format", "json")
         parsed = json.loads(capsys.readouterr().out)
         assert [r["mle_converged"] for r in parsed] == [False, False]
+
+    def test_max_shots_warns_once_per_scenario(self, capsys):
+        # 0.015 nats over N ~ 1.4e20 counts is below what the certificate
+        # resolves, so no scenario is reported as converged.
+        argv = ("experiment", "--defaults", "--seed", "42", "--shots", str(2**63 - 1))
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().split("\n")) == 8
+        names = [sc.name for sc in default_scenarios()]
+        assert [line.split(": ")[1] for line in captured.err.splitlines()] == names
 
     def test_converged_runs_stay_quiet(self, config_path, capsys):
         for source in (("--config", str(config_path), "--seed", "5"), ("--defaults", "--seed", "42")):

@@ -13,6 +13,7 @@ from photon_duality import (
     CountRecord,
     DensityMatrix,
     MeasurementSetting,
+    RecordSet,
     TwoPathState,
     derive_seed,
     estimate_vdc_from_rho,
@@ -28,7 +29,7 @@ from photon_duality import (
 from photon_duality import _kernels
 from photon_duality._kernels import _ULP_SLACK, EPS_MIN, P_FLOOR
 from photon_duality.pipeline import STAGE_TOMOGRAPHY
-from photon_duality.scenarios import DEFAULT_SHOTS, default_scenarios, reseed
+from photon_duality.scenarios import DEFAULT_SHOTS, MAX_SHOTS, default_scenarios, reseed
 from photon_duality.seeding import make_rng
 from photon_duality.tomography import (
     ALL_SETTINGS,
@@ -36,7 +37,7 @@ from photon_duality.tomography import (
     OUTCOMES,
     PAULI,
     _collect,
-    _measurement_arrays,
+    _model,
 )
 
 HALF = math.sqrt(0.5)
@@ -112,11 +113,12 @@ def _mle_loop_numpy(projs, counts, freqs, rho0, max_iter, tol):
 
 def oracle_arrays(records):
     """Projectors, counts and frequencies stacked setting by setting."""
+    rs = _collect(records)
     projs, counts, freqs = [], [], []
-    for rec in _collect(records):
-        projs.extend(rec.setting.outcome_projectors())
-        counts.extend(rec.counts)
-        freqs.extend(rec.counts / rec.shots)
+    for m, row, shots in zip(NONTRIVIAL_SETTINGS, rs.counts, rs.shots):
+        projs.extend(m.outcome_projectors())
+        counts.extend(row)
+        freqs.extend(row / shots)
     return (
         np.array(projs, dtype=np.complex128),
         np.array(counts, dtype=np.float64),
@@ -124,9 +126,39 @@ def oracle_arrays(records):
     )
 
 
-def oracle_reconstruct(records, max_iter=2000, tol=1e-10):
-    """(rho, iterations, log-likelihood, converged) from the oracle loop."""
-    rho0 = 0.25 * np.eye(4, dtype=np.complex128)
+def total_shots(records):
+    return sum(_collect(records).shots)
+
+
+def simplex_projection(v):
+    """Euclidean projection of ``v`` onto the unit simplex (sort-based)."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    j = max(i for i in range(len(u)) if u[i] - (css[i] - 1.0) / (i + 1) > 0.0)
+    return np.maximum(v - (css[j] - 1.0) / (j + 1), 0.0)
+
+
+def independent_start(records):
+    """The kernel's starting state, computed apart from it: the complex
+    least-squares solution of Tr(P_k rho) = f_k over the stacked per-setting
+    projectors (f = counts over the mean shots per setting), its Hermitian
+    part with the eigenvalues projected onto the unit simplex, and 1e-4 of
+    I / 4 mixed in."""
+    projs, counts, _ = oracle_arrays(records)
+    freqs = counts / (total_shots(records) / 15)
+    # Tr(P rho) = sum_ab conj(P_ab) rho_ab for Hermitian P.
+    sol = np.linalg.lstsq(projs.conj().reshape(60, 16), freqs.astype(complex), rcond=None)[0]
+    ls = sol.reshape(4, 4)
+    w, vecs = np.linalg.eigh(0.5 * (ls + ls.conj().T))
+    lam = (1.0 - 1e-4) * simplex_projection(w) + 1e-4 / 4
+    return (vecs * lam) @ vecs.conj().T
+
+
+def oracle_reconstruct(records, max_iter=2000, tol=1e-10, rho0=None):
+    """(rho, iterations, log-likelihood, converged) from the oracle loop,
+    started at ``rho0`` (default I / 4)."""
+    if rho0 is None:
+        rho0 = 0.25 * np.eye(4, dtype=np.complex128)
     return _mle_loop_numpy(*oracle_arrays(records), rho0, max_iter, tol)
 
 
@@ -144,7 +176,7 @@ def oracle_optimum(index):
     puts it within ``ORACLE_SHORTFALL`` nats of the optimum; computed once
     per input."""
     recs = oracle_input(index)
-    total = sum(rec.shots for rec in recs)
+    total = total_shots(recs)
     rho, _, ll, converged = oracle_reconstruct(recs, max_iter=40_000)
     assert converged
     for _ in range(20):
@@ -167,9 +199,9 @@ def sampled_records(rho, shots, master_seed):
     return sample_counts(rho, shots, [derive_seed(master_seed, k) for k in range(15)])
 
 
-def sampled_record(rho, m, shots, seed):
-    """The record of setting ``m`` drawn from ``seed``."""
-    return sample_counts(rho, shots, [seed] * 15)[NONTRIVIAL_SETTINGS.index(m)]
+def sampled_row(rho, m, shots, seed):
+    """The (4,) counts of setting ``m`` drawn from ``seed``."""
+    return sample_counts(rho, shots, [seed] * 15).counts[NONTRIVIAL_SETTINGS.index(m)]
 
 
 ORACLE_INPUT_IDS = [sc.name for sc in default_scenarios()] + ["bell-like"]
@@ -249,37 +281,37 @@ class TestPauliExpectation:
 
 class TestSampleCounts:
     def test_single_shot_lands_once(self):
-        rec = sampled_record(MIXED, MeasurementSetting("X", "Z"), shots=1, seed=3)
-        assert sorted(rec.counts.tolist()) == [0, 0, 0, 1]
+        counts = sampled_row(MIXED, MeasurementSetting("X", "Z"), shots=1, seed=3)
+        assert sorted(counts.tolist()) == [0, 0, 0, 1]
 
     def test_eigenstate_concentrates(self):
         s = TwoPathState(1.0, 0.0, [1, 0], [1, 0])
-        rec = sampled_record(to_density_matrix(s), MeasurementSetting("Z", "Z"), 5000, seed=4)
-        assert rec.counts[OUTCOMES.index((1, 1))] == 5000
+        counts = sampled_row(to_density_matrix(s), MeasurementSetting("Z", "Z"), 5000, seed=4)
+        assert counts[OUTCOMES.index((1, 1))] == 5000
 
     def test_identity_side_outcomes_never_fire(self):
-        rec = sampled_record(MIXED, MeasurementSetting("Z", "I"), 5000, seed=5)
-        assert rec.counts[OUTCOMES.index((1, -1))] == 0
-        assert rec.counts[OUTCOMES.index((-1, -1))] == 0
+        counts = sampled_row(MIXED, MeasurementSetting("Z", "I"), 5000, seed=5)
+        assert counts[OUTCOMES.index((1, -1))] == 0
+        assert counts[OUTCOMES.index((-1, -1))] == 0
 
     def test_empirical_expectation_near_exact(self):
         rho = to_density_matrix(random_two_path_state(np.random.default_rng(41)))
         shots = 100_000
-        for m, rec in zip(NONTRIVIAL_SETTINGS, sampled_records(rho, shots, 7)):
+        for m, counts in zip(NONTRIVIAL_SETTINGS, sampled_records(rho, shots, 7).counts):
             exact = np.trace(rho.matrix @ pauli_operator(m)).real
-            assert abs(expectation(rec) - exact) <= 5 / math.sqrt(shots)
+            assert abs(float(counts @ SIGNS) / shots - exact) <= 5 / math.sqrt(shots)
 
     def test_bit_exact_reproducibility(self):
         rho = to_density_matrix(bell_like_state())
-        a = sampled_record(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
-        b = sampled_record(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
-        assert np.array_equal(a.counts, b.counts)
+        a = sampled_row(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
+        b = sampled_row(rho, MeasurementSetting("X", "Y"), 10_000, seed=99)
+        assert np.array_equal(a, b)
 
     def test_counts_are_integers_summing_to_shots(self):
-        rec = sampled_record(MIXED, MeasurementSetting("Y", "Y"), 777, seed=6)
-        assert rec.counts.shape == (4,) and rec.counts.dtype == np.int64
-        assert rec.counts.sum() == 777
-        assert not rec.counts.flags.writeable
+        counts = sampled_row(MIXED, MeasurementSetting("Y", "Y"), 777, seed=6)
+        assert counts.shape == (4,) and counts.dtype == np.int64
+        assert counts.sum() == 777
+        assert not counts.flags.writeable
 
     @pytest.mark.parametrize("shots", [1, 4000, 100_000])
     def test_one_draw_per_setting_from_its_own_seed(self, shots):
@@ -291,20 +323,20 @@ class TestSampleCounts:
             rho = to_density_matrix(random_two_path_state(rng))
             seeds = [derive_seed(shots, i, k) for k in range(15)]
             records = sample_counts(rho, shots, seeds)
-            assert [rec.setting for rec in records] == list(NONTRIVIAL_SETTINGS)
-            for k, rec in enumerate(records):
+            assert records.counts.shape == (15, 4)
+            for k, m in enumerate(NONTRIVIAL_SETTINGS):
                 row = 4 * (k + 1)
                 p = np.einsum("kab,ba->k", stack[row : row + 4], rho.matrix).real
                 p = np.clip(p, 0.0, None)
                 p = p / p.sum()
-                assert np.array_equal(outcome_probabilities(rho, rec.setting), p)
+                assert np.array_equal(outcome_probabilities(rho, m), p)
                 expected = make_rng(seeds[k]).multinomial(shots, p)
-                assert np.array_equal(rec.counts, expected)
-                assert rec.shots == shots
+                assert np.array_equal(records.counts[k], expected)
+                assert records.shots[k] == shots
 
     def test_maximally_mixed_expectations_small(self):
-        for rec in sampled_records(MIXED, 100_000, 9):
-            assert abs(expectation(rec)) < 5 / math.sqrt(100_000)
+        for counts in sampled_records(MIXED, 100_000, 9).counts:
+            assert abs(float(counts @ SIGNS) / 100_000) < 5 / math.sqrt(100_000)
 
     def test_one_seed_per_setting_required(self):
         with pytest.raises(ValueError, match="one seed per nontrivial setting"):
@@ -327,7 +359,7 @@ class TestSampleCounts:
 
     def test_numpy_integer_shots_accepted(self):
         records = sample_counts(MIXED, np.int64(100), list(range(15)))
-        assert [rec.shots for rec in records] == [100] * 15
+        assert records.shots == (100,) * 15
 
     def test_exact_record_matches_distribution(self):
         rho = to_density_matrix(bell_like_state())
@@ -353,6 +385,74 @@ class TestSampleCounts:
         # false) and crashed the MLE's eigensolver downstream.
         with pytest.raises(ValueError, match=message):
             CountRecord(MeasurementSetting("X", "Z"), np.array(counts, dtype=float), 100)
+
+
+def valid_counts():
+    return np.tile([50, 25, 25, 0], (15, 1))
+
+
+class TestRecordSet:
+    """One validated (15, 4) count array; a list of ``CountRecord``s is only
+    an adapter onto it."""
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (valid_counts()[:14], r"\(15, 4\) array"),
+            (valid_counts()[:, :3], r"\(15, 4\) array"),
+            (valid_counts().astype(complex), "numeric"),
+            (valid_counts().astype(bool), "numeric"),
+            (np.where(np.eye(15, 4, dtype=bool), math.nan, valid_counts()), "finite"),
+            (np.where(np.eye(15, 4, dtype=bool), math.inf, valid_counts()), "finite"),
+            (valid_counts() + [[0, 1, 0, -1]], "non-negative"),
+            (valid_counts() + np.eye(15, 4, -5, dtype=int), "setting XY sum to 101"),
+        ],
+        ids=["rows", "columns", "complex", "bool", "nan", "inf", "negative", "wrong-sum"],
+    )
+    def test_rejects_bad_counts(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            RecordSet(counts, (100,) * 15)
+
+    @pytest.mark.parametrize("bad", [True, 100.0, math.nan, 0])
+    def test_rejects_bad_shots(self, bad):
+        shots = (100,) * 7 + (bad,) + (100,) * 7
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+            RecordSet(valid_counts(), shots)
+
+    def test_needs_the_shots_of_each_setting(self):
+        with pytest.raises(ValueError, match="shots of each nontrivial setting"):
+            RecordSet(valid_counts(), (100,) * 14)
+
+    def test_counts_are_a_read_only_copy(self):
+        counts = valid_counts()
+        rs = RecordSet(counts, (100,) * 15)
+        counts[0, 0] = 0
+        assert rs.counts[0, 0] == 50
+        assert not rs.counts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rs.counts[0, 0] = 1
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    def test_list_and_record_set_give_identical_results(self, exact):
+        rho = to_density_matrix(random_two_path_state(np.random.default_rng(47)))
+        if exact:
+            recs = [exact_record(rho, m) for m in NONTRIVIAL_SETTINGS]
+        else:
+            rs = sampled_records(rho, 4000, 17)
+            recs = list(map(CountRecord, NONTRIVIAL_SETTINGS, rs.counts, rs.shots))
+        as_set = _collect(recs[::-1])  # the adapter orders the list
+        a, b = mle_reconstruct(recs[::-1]), mle_reconstruct(as_set)
+        assert np.array_equal(a.rho_hat.matrix, b.rho_hat.matrix)
+        assert (a.iterations, a.log_likelihood, a.converged, a.gap) == (
+            b.iterations, b.log_likelihood, b.converged, b.gap
+        )
+
+    def test_adapter_rejects_the_trivial_setting(self):
+        rho = to_density_matrix(bell_like_state())
+        recs = [exact_record(rho, m) for m in NONTRIVIAL_SETTINGS]
+        trivial = CountRecord(MeasurementSetting("I", "I"), np.array([1.0, 0, 0, 0]), 1)
+        with pytest.raises(ValueError, match=r"extra \['II'\]"):
+            mle_reconstruct(recs + [trivial])
 
 
 class TestMLE:
@@ -418,11 +518,14 @@ class TestMLE:
     @pytest.mark.parametrize("max_iter", [1, 2])
     def test_plain_steps_match_oracle(self, max_iter):
         # A budget too small for one extrapolation cycle runs the plain
-        # R rho R steps, which must follow the oracle's path to roundoff.
+        # R rho R steps, which must follow the oracle's path to roundoff
+        # from the same start.
         rho_true = to_density_matrix(random_two_path_state(np.random.default_rng(48)))
         recs = sampled_records(rho_true, 20_000, 14)
         result = mle_reconstruct(recs, max_iter=max_iter, tol=0.0)
-        rho, iterations, ll, _ = oracle_reconstruct(recs, max_iter=max_iter, tol=0.0)
+        rho, iterations, ll, _ = oracle_reconstruct(
+            recs, max_iter=max_iter, tol=0.0, rho0=independent_start(recs)
+        )
         assert result.iterations == iterations == max_iter
         assert np.max(np.abs(result.rho_hat.matrix - rho)) < 1e-10
         assert result.log_likelihood == pytest.approx(ll, rel=1e-12)
@@ -430,7 +533,8 @@ class TestMLE:
     @pytest.mark.parametrize("max_iter, steps", [(1, 0), (2, 0), (3, 0), (4, 1), (7, 1), (8, 2)])
     def test_projected_steps_need_four_applications_left(self, max_iter, steps, monkeypatch):
         # Each cycle with four applications left opens with a projected step
-        # (the kernel's one eigh); budgets of at most 3 keep the plain path.
+        # (an eigh each, after the start's one); budgets of at most 3 keep
+        # the plain path.
         calls = []
         eigh = np.linalg.eigh
 
@@ -441,7 +545,23 @@ class TestMLE:
         monkeypatch.setattr(np.linalg, "eigh", spy)
         recs = sampled_records(to_density_matrix(bell_like_state()), 20_000, 12)
         result = mle_reconstruct(recs, max_iter=max_iter, tol=0.0)
-        assert (result.iterations, len(calls)) == (max_iter, steps)
+        assert (result.iterations, len(calls)) == (max_iter, 1 + steps)
+
+    def test_zero_budget_returns_the_start(self):
+        recs = sampled_records(to_density_matrix(bell_like_state()), 20_000, 12)
+        result = mle_reconstruct(recs, max_iter=0, tol=0.0)
+        assert result.iterations == 0
+        assert np.max(np.abs(result.rho_hat.matrix - independent_start(recs))) < 1e-10
+
+    def test_start_on_exact_records_is_the_truth(self):
+        # Linear inversion of exact records returns the pure truth, which
+        # the projection keeps; only the 1e-4 mix of I / 4 moves it.
+        rng = np.random.default_rng(49)
+        for _ in range(50):
+            rho = to_density_matrix(random_two_path_state(rng))
+            recs = [exact_record(rho, m) for m in NONTRIVIAL_SETTINGS]
+            start = mle_reconstruct(recs, max_iter=0).rho_hat.matrix
+            assert np.max(np.abs(start - rho.matrix)) < 2e-4
 
     @pytest.mark.parametrize("index", range(8), ids=ORACLE_INPUT_IDS)
     def test_kernel_matches_oracle_with_gain_stopping(self, index):
@@ -454,7 +574,7 @@ class TestMLE:
         # certifies within twice it, and its rho_hat is held to the
         # reference all the same.
         recs = oracle_input(index)
-        tol = 1e-14 * sum(rec.shots for rec in recs)
+        tol = 1e-14 * total_shots(recs)
         result = mle_reconstruct(recs, tol=tol)
         _, budget_iterations, budget_ll, _ = oracle_reconstruct(recs)
         rho, ll = oracle_optimum(index)
@@ -479,7 +599,7 @@ class TestMLE:
             result.gap, rel=1e-6, abs=1e-12
         )
         _, ll = oracle_optimum(index)
-        total = sum(rec.shots for rec in recs)
+        total = total_shots(recs)
         assert ll - result.log_likelihood <= result.gap * total + _ULP_SLACK * (1.0 + abs(ll))
 
     @pytest.mark.parametrize("index", range(8), ids=ORACLE_INPUT_IDS)
@@ -514,9 +634,13 @@ class TestMLE:
         rho = to_density_matrix(random_two_path_state(np.random.default_rng(5)))
         seeds = [100 + k for k in range(15)]
         low, high = sample_counts(rho, 500, seeds), sample_counts(rho, 50_000, seeds)
-        recs = [low[k] if k % 2 else high[k] for k in range(15)]
+        odd = np.arange(15) % 2 == 1
+        recs = RecordSet(
+            np.where(odd[:, None], low.counts, high.counts),
+            tuple(500 if k % 2 else 50_000 for k in range(15)),
+        )
         result = mle_reconstruct(recs, max_iter=10_000)
-        total = sum(rec.shots for rec in recs)
+        total = total_shots(recs)
         assert result.converged and result.gap * total < 0.015
         assert certified_gap(result.rho_hat.matrix, recs) * total < 0.015
         assert mle_reconstruct(recs, max_iter=100, tol=0.0).iterations == 100
@@ -525,7 +649,10 @@ class TestMLE:
 def kernel_run(records, max_iter, tol):
     """``_kernels.mle_loop`` on a record set at the per-count threshold
     ``tol``, as it ran before the stop was read in nats."""
-    return _kernels.mle_loop(*_measurement_arrays(_collect(records)), max_iter, tol)
+    rs = _collect(records)
+    return _kernels.mle_loop(
+        _model(), rs.counts.reshape(-1), rs.frequencies.reshape(-1), max_iter, tol
+    )
 
 
 def exact_records(seed):
@@ -551,7 +678,7 @@ class TestCertifiedStop:
 
     def test_default_tol_is_1e8_per_count_at_the_defaults_shots(self, thresholds):
         recs = oracle_input(0)
-        assert sum(rec.shots for rec in recs) == 1_500_000
+        assert total_shots(recs) == 1_500_000
         mle_reconstruct(recs)
         assert thresholds == [1e-8]
 
@@ -593,6 +720,25 @@ class TestCertifiedStop:
         recs = exact_records(46) if exact else sampled_records(rho, 4000, 15)
         result = mle_reconstruct(recs, max_iter=60, tol=0.0)
         assert result.iterations == 60 and not result.converged
+
+    @pytest.mark.parametrize("scale, converged", [(2.0, True), (0.5, False)])
+    def test_converged_only_where_the_stop_is_resolvable(self, scale, converged, monkeypatch):
+        # A per-count stop below _ULP_SLACK is finer than the certificate
+        # lambda_max(R) / Tr(R rho) - 1 resolves, so a kernel that certifies
+        # there has met roundoff, not the stop.
+        loop = _kernels.mle_loop
+        monkeypatch.setattr(_kernels, "mle_loop", lambda *args: (*loop(*args)[:3], 0.0, True))
+        recs = sampled_records(to_density_matrix(bell_like_state()), 4000, 16)
+        result = mle_reconstruct(recs, max_iter=3, tol=scale * _ULP_SLACK * 15 * 4000)
+        assert result.converged == converged
+
+    def test_max_shots_never_certifies(self):
+        # N = 15 (2^63 - 1): tol / N ~ 1.1e-22.  The kernel still stops
+        # where its gap reads below that.
+        recs = sampled_records(to_density_matrix(bell_like_state()), MAX_SHOTS, 18)
+        result = mle_reconstruct(recs)
+        assert not result.converged
+        assert result.gap < 0.015 / total_shots(recs) and result.iterations < 2000
 
     @pytest.mark.parametrize("tol", [-1e-8, -1.0, math.nan, math.inf, -math.inf])
     def test_tol_outside_the_nats_range_is_rejected(self, tol):
@@ -641,6 +787,44 @@ class TestMLEProperties:
         assert certified_gap(mat, recs) == pytest.approx(result.gap, rel=1e-6, abs=1e-12)
         if result.converged:
             assert certified_gap(mat, recs) * total <= 0.015 * (1.0 + 1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["one-outcome", "one-shot", "uneven"]),
+        max_iter=st.integers(0, 2000),
+    )
+    def test_degenerate_records(self, seed, kind, max_iter):
+        # Records far from any linear-inversion state: all counts of each
+        # setting in one outcome its projectors allow, one shot per
+        # setting, or shots that differ per setting.
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(random_rho(rng, int(rng.integers(1, 5))))
+        if kind == "one-shot":
+            recs = sampled_records(rho, 1, seed)
+        else:
+            if kind == "one-outcome":
+                shots = np.full(15, int(rng.integers(1, 100_000)))
+            else:
+                shots = rng.integers(1, 100_000, size=15)
+            counts = np.zeros((15, 4), dtype=np.int64)
+            for k, m in enumerate(NONTRIVIAL_SETTINGS):
+                p = outcome_probabilities(rho, m)
+                if kind == "one-outcome":
+                    counts[k, rng.choice(np.flatnonzero(p > 0.0))] = shots[k]
+                else:
+                    counts[k] = rng.multinomial(shots[k], p)
+            recs = RecordSet(counts, tuple(int(n) for n in shots))
+        start = mle_reconstruct(recs, max_iter=0, tol=0.0).rho_hat.matrix
+        assert np.all(np.isfinite(start)) and np.linalg.eigvalsh(start)[0] >= -1e-10
+        result = mle_reconstruct(recs, max_iter=max_iter)
+        mat = result.rho_hat.matrix
+        assert np.linalg.eigvalsh(mat)[0] >= -1e-10
+        assert np.trace(mat).real == pytest.approx(1.0, abs=1e-10)
+        assert result.iterations <= max_iter
+        assert certified_gap(mat, recs) == pytest.approx(result.gap, rel=1e-6, abs=1e-12)
+        if result.converged:
+            assert certified_gap(mat, recs) * total_shots(recs) <= 0.015 * (1.0 + 1e-6)
 
 
 class TestEstimateFromRho:
