@@ -11,7 +11,7 @@ built-in states).  --seed reseeds every scenario from one master seed,
 --shots overrides the per-scenario budget.  Output goes to --out or stdout
 as --format csv|json; each command only builds its rows and records, and
 ``pipeline`` renders and writes them.  Exit codes: 0 success, 1 validation
-error, 2 I/O error.
+error, 2 I/O or usage error (argparse's own errors, e.g. ``--seed 1.5``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ stages are independent, reorderable, and bit-reproducible.
 This module is also the one output path of every CLI command: a command
 hands ``emit_table`` its CSV columns, its rows and its JSON records, and
 gets CSV (floats at 12 significant digits) or JSON back on stdout or in a
-file; JSON is written in batches of encoder pieces, never as one string.
+file; JSON is written in batches of encoder pieces, never as one string.  An
+output file is rewritten in place and cut to the written length, not
+truncated on open, and is left empty if writing fails.
 Reports use the fixed ``CSV_COLUMNS``; their JSON field names mirror
 ``RunReport``.  Estimated components are clamped into [0, 1] only when
 projected onto the unit sphere, never in the report itself.
@@ -24,11 +26,12 @@ projected onto the unit sphere, never in the report itself.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import itertools
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -226,11 +229,34 @@ def render_table(columns, rows, records, fmt: str) -> str:
 
 
 def _write(pieces, out) -> None:
-    """Write ``pieces`` in batches, so a long JSON document is never one string."""
+    """Write ``pieces`` in batches, so a long JSON document is never one string.
+
+    A file is rewritten in place and then cut to the written length, because
+    truncating a file just written can wait on its writeback.  If writing
+    fails, the file is left empty, never a new head on an old tail.
+    """
+    if out is None:
+        return _write_batches(pieces, sys.stdout)
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    try:
+        # ``fd`` outlives ``fh``: a failed write's buffer is flushed before the file is emptied.
+        with open(fd, "w", newline="", closefd=False) as fh:
+            _write_batches(pieces, fh)
+            if regular:
+                fh.truncate()
+    except BaseException:
+        if regular:
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
+
+
+def _write_batches(pieces, fh) -> None:
     pieces = iter(pieces)
-    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
-        for first in pieces:
-            fh.write(first + "".join(itertools.islice(pieces, _WRITE_BATCH - 1)))
+    for first in pieces:
+        fh.write(first + "".join(itertools.islice(pieces, _WRITE_BATCH - 1)))
 
 
 def emit_table(columns, rows, records, fmt: str, out) -> None:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .interferometer import DEFAULT_PHASE_POINTS, MAX_PHASE_POINTS, MIN_PHASE_POINTS
 from .seeding import check_seed, derive_seed
-from .states import TwoPathState
+from .states import TwoPathState, _check_count
 
 MIN_SHOTS = 100
 # numpy's binomial and multinomial samplers take counts up to int64.
@@ -59,19 +59,22 @@ class Scenario:
             raise ScenarioError("name must be a non-empty string")
         if not isinstance(self.state, TwoPathState):
             raise ScenarioError(f"state must be a TwoPathState, got {type(self.state).__name__}")
-        if self.shots < MIN_SHOTS:
-            raise ScenarioError(f"shots must be >= {MIN_SHOTS}, got {self.shots}")
-        if self.shots > MAX_SHOTS:
-            raise ScenarioError(f"shots must be <= {MAX_SHOTS}, got {self.shots}")
-        if not MIN_PHASE_POINTS <= self.phase_points <= MAX_PHASE_POINTS:
-            raise ScenarioError(
-                f"phase_points must be in [{MIN_PHASE_POINTS}, {MAX_PHASE_POINTS}], "
-                f"got {self.phase_points}"
-            )
         try:
-            check_seed(self.seed)
+            shots = _check_count(self.shots, "shots", MIN_SHOTS)
+            phase_points = _check_count(self.phase_points, "phase_points", MIN_PHASE_POINTS)
+            seed = check_seed(self.seed)
         except ValueError as err:
             raise ScenarioError(str(err)) from None
+        if shots > MAX_SHOTS:
+            raise ScenarioError(f"shots must be <= {MAX_SHOTS}, got {shots}")
+        if phase_points > MAX_PHASE_POINTS:
+            raise ScenarioError(
+                f"phase_points must be in [{MIN_PHASE_POINTS}, {MAX_PHASE_POINTS}], "
+                f"got {phase_points}"
+            )
+        # Numpy integers are held as ints, so reports stay JSON-serializable.
+        for field, value in (("shots", shots), ("phase_points", phase_points), ("seed", seed)):
+            object.__setattr__(self, field, value)
 
 
 def _is_real(value) -> bool:

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .states import _check_count
+
 MAX_SEED = 2**64
 
 
 def check_seed(seed: int) -> int:
-    """Validate a master seed: an integer in [0, 2**64)."""
-    seed = int(seed)
+    """Validate a master seed: an integer in [0, 2**64); a bool, float or NaN raises."""
+    if type(seed) is not int:  # the derived seeds of every stage skip the slower check
+        seed = _check_count(seed, "seed", 0)
     if not 0 <= seed < MAX_SEED:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, flags, output formats, exit codes."""
 
 import contextlib
+import errno
 import functools
 import io
 import json
+import os
 
 import pytest
 from hypothesis import example, given, settings
@@ -77,6 +79,53 @@ class TestCompute:
         assert run_cli("compute", "--config", str(config_path), "--out", str(out)) == 0
         assert capsys.readouterr().out == ""
         assert out.read_text().startswith("name,V,D,C,residual")
+
+
+class TestOutFile:
+    """``--out`` rewrites an existing file in place and cuts it to length."""
+
+    def report(self, config_path, fmt, capsys):
+        assert run_cli("experiment", "--config", str(config_path), "--format", fmt) == 0
+        return capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("extra", [-100, 0, 5000], ids=["shorter", "same", "longer"])
+    def test_existing_file_holds_the_stdout_bytes(self, config_path, tmp_path, capsys, fmt, extra):
+        expected = self.report(config_path, fmt, capsys)
+        out = tmp_path / "report"
+        out.write_bytes(b"x" * (len(expected) + extra))
+        assert run_cli("experiment", "--config", str(config_path), "--format", fmt, "--out", str(out)) == 0
+        assert out.read_bytes() == expected
+
+    def test_existing_file_keeps_its_inode_and_mode(self, config_path, tmp_path):
+        out = tmp_path / "triples.csv"
+        out.write_text("stale\n" * 1000)
+        out.chmod(0o640)
+        before = out.stat()
+        assert run_cli("compute", "--config", str(config_path), "--out", str(out)) == 0
+        after = out.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert out.read_text().startswith("name,V,D,C,residual")
+
+    def test_dev_null(self, config_path, capsys):
+        assert run_cli("experiment", "--config", str(config_path), "--out", os.devnull) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_failed_write_leaves_an_empty_file(self, config_path, tmp_path, monkeypatch, capsys):
+        report_pieces = pipeline._report_pieces
+
+        def pieces_then_full_disk(reports, fmt):
+            yield from report_pieces(reports, fmt)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "_WRITE_BATCH", 2)
+        monkeypatch.setattr(pipeline, "_report_pieces", pieces_then_full_disk)
+        out = tmp_path / "report.json"
+        out.write_text("[" + " " * 10_000 + "]\n")
+        argv = ["experiment", "--config", str(config_path), "--format", "json", "--out", str(out)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 28]")
+        assert out.read_bytes() == b""
 
 
 class TestFringes:
@@ -271,6 +320,24 @@ class TestErrorHandling:
         missing_dir = tmp_path / "does" / "not" / "exist" / "out.csv"
         code = run_cli("compute", "--config", str(config_path), "--out", str(missing_dir))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--defaults", "--seed", "1.5"],
+            ["compute", "--defaults", "--no-such-flag"],
+            ["--defaults"],
+            [],
+        ],
+        ids=["float-seed", "unknown-flag", "no-subcommand", "no-arguments"],
+    )
+    def test_usage_error_exits_2(self, argv, capsys):
+        # argparse's own usage errors share exit code 2 with I/O errors.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: photon-duality")
 
     @pytest.mark.parametrize(
         "field, value",

@@ -4,7 +4,10 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from photon_duality import (
     Scenario,
@@ -18,19 +21,35 @@ from photon_duality import (
     scenario_to_dict,
     vdc_triple,
 )
-from photon_duality.interferometer import MAX_PHASE_POINTS
+from photon_duality.interferometer import MAX_PHASE_POINTS, MIN_PHASE_POINTS
 from photon_duality.pipeline import (
     _WRITE_BATCH,
     CSV_COLUMNS,
     STAGE_BLOCKING,
     _clamp_point,
+    _write,
     emit_table,
     render_table,
 )
-from photon_duality.scenarios import override_shots, reseed
-from photon_duality.seeding import derive_seed, make_rng
+from photon_duality.scenarios import MAX_SHOTS, MIN_SHOTS, override_shots, reseed
+from photon_duality.seeding import check_seed, derive_seed, make_rng
 
 HALF = math.sqrt(0.5)
+
+# Scenario's integer fields and the closed range each takes.
+INTEGER_FIELDS = {
+    "shots": (MIN_SHOTS, MAX_SHOTS),
+    "phase_points": (MIN_PHASE_POINTS, MAX_PHASE_POINTS),
+    "seed": (0, 2**64 - 1),
+}
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@st.composite
+def numpy_integers(draw):
+    dtype = np.dtype(draw(st.sampled_from(NUMPY_INTEGERS)))
+    info = np.iinfo(dtype)
+    return dtype.type(draw(st.integers(int(info.min), int(info.max))))
 
 
 def make_scenario(**overrides):
@@ -85,6 +104,45 @@ class TestScenarioValidation:
     def test_seed_range(self):
         with pytest.raises(ScenarioError, match="seed"):
             make_scenario(seed=-1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        field=st.sampled_from(sorted(INTEGER_FIELDS)),
+        value=st.one_of(st.floats(), st.booleans(), st.integers(0, 2**64).map(float)),
+    )
+    @example(field="seed", value=1.5)
+    @example(field="seed", value=True)
+    @example(field="shots", value=1000.5)
+    @example(field="phase_points", value=64.5)
+    @example(field="phase_points", value=math.nan)
+    def test_non_integer_field_is_named(self, field, value):
+        # A float seed once ran the streams of its integer part.
+        with pytest.raises(ScenarioError, match=f"^{field} must be an integer"):
+            make_scenario(**{field: value})
+
+    @settings(max_examples=80, deadline=None)
+    @given(field=st.sampled_from(sorted(INTEGER_FIELDS)), value=numpy_integers())
+    @example(field="seed", value=np.uint64(2**64 - 1))
+    @example(field="shots", value=np.uint64(MAX_SHOTS + 1))
+    @example(field="phase_points", value=np.int32(MAX_PHASE_POINTS))
+    def test_numpy_integer_field_is_held_as_int(self, field, value):
+        low, high = INTEGER_FIELDS[field]
+        if low <= int(value) <= high:
+            held = getattr(make_scenario(**{field: value}), field)
+            assert type(held) is int and held == int(value)
+        else:
+            with pytest.raises(ScenarioError, match=f"^{field} must be"):
+                make_scenario(**{field: value})
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, math.nan, "1", None])
+    def test_check_seed_rejects_non_integers(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            check_seed(seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int8(3)])
+    def test_check_seed_returns_an_int(self, seed):
+        held = check_seed(seed)
+        assert type(held) is int and held == int(seed)
 
 
 class TestLoadScenarios:
@@ -320,6 +378,22 @@ class TestEmission:
             assert text == json.dumps(records, indent=2) + "\n"
         emit_table(["name", "x", "k"], iter(rows), iter(records), fmt, tmp_path / "out")
         assert (tmp_path / "out").read_bytes() == text.encode()
+
+    def test_pieces_that_raise_mid_write_leave_the_file_empty(self, tmp_path):
+        # A failed rewrite must not leave a new head on the old tail, which
+        # could read as a whole table.
+        out = tmp_path / "out"
+        out.write_text("stale\n" * (4 * _WRITE_BATCH))
+        heads = []
+
+        def pieces():
+            yield from ["fresh\n"] * (2 * _WRITE_BATCH)
+            heads.append(out.read_bytes()[:6])
+            raise RuntimeError("pieces ran dry")
+
+        with pytest.raises(RuntimeError, match="pieces ran dry"):
+            _write(pieces(), out)
+        assert heads == [b"fresh\n"] and out.read_bytes() == b""
 
     def test_unknown_format_rejected_before_the_file_is_opened(self, reports, tmp_path):
         with pytest.raises(ValueError, match="format"):
