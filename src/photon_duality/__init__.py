@@ -34,7 +34,6 @@ from .scenarios import (
 from .seeding import derive_seed, make_rng
 from .states import (
     DensityMatrix,
-    SchmidtDecomposition,
     TwoPathState,
     coefficient_matrix,
     concurrence_pure,
@@ -56,7 +55,6 @@ from .tomography import (
     estimate_vdc_from_rho,
     exact_record,
     mle_reconstruct,
-    outcome_probabilities,
     sample_counts,
 )
 

@@ -55,6 +55,8 @@ class _Grid(NamedTuple):
 def _grid(key: bytes) -> _Grid:
     """Read-only constants of the float64 grid whose bytes are ``key``."""
     phases = np.frombuffer(key, dtype=np.float64)
+    if not np.isfinite(phases).all():  # before anything is computed from them
+        raise ValueError(f"phases must be finite, got {float(phases[~np.isfinite(phases)][0])}")
     factors = np.exp(1j * phases)
     design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     u, sv, vt = np.linalg.svd(design, full_matrices=False)

@@ -209,7 +209,9 @@ def report_to_dict(r: RunReport) -> dict:
 
 
 def _pieces(columns, rows, records, fmt):
-    """``render_table``'s text as an iterable of strings; checks ``fmt`` first."""
+    """CSV of ``rows`` under ``columns`` (floats at 12 significant digits), or
+    JSON of ``records``, as an iterable of strings.  ``fmt`` is checked first
+    and only the chosen one is read, so either may be a generator."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -219,13 +221,6 @@ def _pieces(columns, rows, records, fmt):
     if fmt == "json":
         return itertools.chain(json.JSONEncoder(indent=2).iterencode(list(records)), ["\n"])
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-
-
-def render_table(columns, rows, records, fmt: str) -> str:
-    """CSV of ``rows`` under ``columns`` (floats at 12 significant digits), or
-    JSON of ``records``.  Only the chosen one is read, so either may be a
-    generator."""
-    return "".join(_pieces(columns, rows, records, fmt))
 
 
 def _write(pieces, out) -> None:
@@ -260,7 +255,7 @@ def _write_batches(pieces, fh) -> None:
 
 
 def emit_table(columns, rows, records, fmt: str, out) -> None:
-    """Write ``render_table``'s text to a path, or to stdout when ``out`` is None."""
+    """Write ``_pieces``' CSV or JSON to a path, or to stdout when ``out`` is None."""
     _write(_pieces(columns, rows, records, fmt), out)
 
 

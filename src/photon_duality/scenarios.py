@@ -114,9 +114,6 @@ def _parse_scenario(obj, index: int) -> Scenario:
         raise ScenarioError(f"{where}: unknown fields {unknown}")
     name = obj["name"]
     where = f"scenario entry {index} ({name!r})"
-    for field in ("shots", "phase_points", "seed"):
-        if not isinstance(obj[field], int) or isinstance(obj[field], bool):
-            raise ScenarioError(f"{where}: field '{field}' must be an integer")
     c_a = _as_complex(obj["c_a"], f"{where}: field 'c_a'")
     c_b = _as_complex(obj["c_b"], f"{where}: field 'c_b'")
     phi_a = _as_complex_pair(obj["phi_a"], f"{where}: field 'phi_a'")

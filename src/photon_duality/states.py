@@ -9,7 +9,7 @@ dimension d >= 2:
 
 This module owns construction and validation of such states (each arm's
 internal state is held as a read-only complex128 unit vector), the internal
-overlap gamma = <phi_a|phi_b>, Schmidt decomposition of the path/internal
+overlap gamma = <phi_a|phi_b>, Schmidt coefficients of the path/internal
 bipartition, density matrices, and two-qubit concurrence.
 
 Tensor convention (fixed throughout the package): path-major ordering. A
@@ -29,7 +29,7 @@ import numpy as np
 
 # Constructors reject inputs beyond this; no silent renormalization.
 NORM_ATOL = 1e-9
-# Consistency of derived quantities (Hermiticity, traces, Schmidt weights).
+# Consistency of derived quantities (Hermiticity, traces).
 MATRIX_ATOL = 1e-10
 # Eigenvalue slack below zero that still counts as a physical density matrix.
 PSD_ATOL = 1e-8
@@ -156,49 +156,17 @@ def state_vector(s: TwoPathState) -> np.ndarray:
     return coefficient_matrix(s).reshape(-1)
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Biorthogonal form of a two-path state.
-
-    ``path_basis[k]`` (a 2-vector) and ``internal_basis[k]`` (a d-vector) are
-    the k-th Schmidt pair; the coefficient matrix is reconstructed as
-    sum_k lambda_k * outer(path_basis[k], internal_basis[k]).
-    """
-
-    lambda1: float
-    lambda2: float
-    path_basis: np.ndarray
-    internal_basis: np.ndarray
-
-    def __post_init__(self):
-        if not (self.lambda1 >= self.lambda2 >= 0.0):
-            raise ValueError(
-                f"Schmidt coefficients must be descending and non-negative, "
-                f"got ({self.lambda1}, {self.lambda2})"
-            )
-        weight = self.lambda1**2 + self.lambda2**2
-        if abs(weight - 1.0) > MATRIX_ATOL * 100:
-            raise ValueError(f"Schmidt weights sum to {weight!r}, expected 1")
-        for name in ("path_basis", "internal_basis"):
-            arr = np.asarray(getattr(self, name), dtype=np.complex128).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+def schmidt_decompose(s: TwoPathState) -> tuple[float, float]:
+    """Schmidt coefficients (lambda1 >= lambda2): singular values of the 2 x d
+    coefficient matrix."""
+    lambda1, lambda2 = np.linalg.svd(coefficient_matrix(s), compute_uv=False)
+    return float(lambda1), float(lambda2)
 
 
-def schmidt_decompose(s: TwoPathState) -> SchmidtDecomposition:
-    """Schmidt decomposition via SVD of the 2 x d coefficient matrix."""
-    u, sv, vh = np.linalg.svd(coefficient_matrix(s))
-    return SchmidtDecomposition(
-        lambda1=float(sv[0]),
-        lambda2=float(sv[1]),
-        path_basis=u.T[:2],
-        internal_basis=vh[:2],
-    )
-
-
-def concurrence_pure(sd: SchmidtDecomposition) -> float:
+def concurrence_pure(lams: tuple[float, float]) -> float:
     """Pure-state concurrence 2*lambda1*lambda2, clipped into [0, 1]."""
-    return min(1.0, max(0.0, 2.0 * sd.lambda1 * sd.lambda2))
+    lambda1, lambda2 = lams
+    return min(1.0, max(0.0, 2.0 * lambda1 * lambda2))
 
 
 @dataclass(frozen=True, eq=False)

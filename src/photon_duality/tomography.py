@@ -69,10 +69,6 @@ class MeasurementSetting:
             if op not in PAULI:
                 raise ValueError(f"operator must be one of I, X, Y, Z, got {op!r}")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.path_op == "I" and self.internal_op == "I"
-
     def outcome_projectors(self) -> list[np.ndarray]:
         """4 x 4 joint eigenprojectors, ordered as ``OUTCOMES``.
 
@@ -125,11 +121,6 @@ def _outcome_table(rho: DensityMatrix) -> np.ndarray:
     p = np.einsum("kab,ba->k", _projector_stack(), rho.matrix).real
     p = np.clip(p, 0.0, None).reshape(len(ALL_SETTINGS), len(OUTCOMES))  # ~-1e-8 PSD dust
     return p / p.sum(axis=1, keepdims=True)
-
-
-def outcome_probabilities(rho: DensityMatrix, m: MeasurementSetting) -> np.ndarray:
-    """Exact joint-outcome distribution, ordered as ``OUTCOMES``."""
-    return _outcome_table(rho)[ALL_SETTINGS.index(m)]
 
 
 def _checked_counts(counts, shots, shape: tuple[int, ...]) -> np.ndarray:
@@ -209,9 +200,9 @@ def sample_counts(rho: DensityMatrix, shots: int, seeds) -> RecordSet:
 
 def exact_record(rho: DensityMatrix, m: MeasurementSetting) -> CountRecord:
     """Infinite-shot record: fractional counts equal to the exact distribution."""
-    if m.is_trivial:
+    if m not in NONTRIVIAL_SETTINGS:
         raise ValueError("the (I, I) setting is trivially 1 and is never recorded")
-    return CountRecord(setting=m, counts=outcome_probabilities(rho, m), shots=1)
+    return CountRecord(setting=m, counts=_outcome_table(rho)[ALL_SETTINGS.index(m)], shots=1)
 
 
 @dataclass(frozen=True)
@@ -234,7 +225,7 @@ def _collect(records) -> RecordSet:
     """``records`` as a ``RecordSet``; an iterable of ``CountRecord``s must
     hold exactly the 15 nontrivial settings.  That adapter stays while the
     benchmark's exact-record workload passes ``exact_record`` lists
-    (ROADMAP item 8)."""
+    (ROADMAP item 1)."""
     if isinstance(records, RecordSet):
         return records
     by_setting: dict[MeasurementSetting, CountRecord] = {}
@@ -243,7 +234,7 @@ def _collect(records) -> RecordSet:
             raise ValueError(f"duplicate records for setting {rec.setting.label()}")
         by_setting[rec.setting] = rec
     missing = [m.label() for m in NONTRIVIAL_SETTINGS if m not in by_setting]
-    extra = [m.label() for m in by_setting if m.is_trivial]
+    extra = [m.label() for m in by_setting if m not in NONTRIVIAL_SETTINGS]
     if missing or extra:
         raise ValueError(
             f"need exactly the 15 nontrivial settings; missing {missing}, extra {extra}"

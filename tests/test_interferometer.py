@@ -219,6 +219,28 @@ class TestPhaseGrid:
         with pytest.raises(ValueError, match="1-D"):
             detection_probabilities(state_with_overlap(HALF, HALF, 0.5), 0.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["all", "one"])
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            detection_probabilities,
+            fringe_scan,
+            lambda s, phases: sample_fringe_scan(s, 100, np.random.default_rng(0), phases=phases),
+        ],
+        ids=["detection_probabilities", "fringe_scan", "sample_fringe_scan"],
+    )
+    def test_non_finite_phases_rejected_before_any_arithmetic(self, scan, where, bad):
+        # No RuntimeWarning may escape: the grid is checked before exp, cos,
+        # sin and the fit design's SVD see it.
+        phases = np.full(8, bad) if where == "all" else phase_grid(8) + [0, 0, 0, bad, 0, 0, 0, 0]
+        for _ in range(2):  # a miss each time: the failing grid is never cached
+            misses = interferometer._grid.cache_info().misses
+            with pytest.raises(ValueError, match=f"^phases must be finite, got {bad}$"):
+                scan(state_with_overlap(HALF, HALF, 0.5), phases)
+            assert interferometer._grid.cache_info().misses == misses + 1
+
 
 class TestCachedConstantsBitIdentical:
     """Cached grid constants change no bit of a probability or a sampled count,

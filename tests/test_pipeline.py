@@ -29,7 +29,6 @@ from photon_duality.pipeline import (
     _clamp_point,
     _write,
     emit_table,
-    render_table,
 )
 from photon_duality.scenarios import MAX_SHOTS, MIN_SHOTS, override_shots, reseed
 from photon_duality.seeding import check_seed, derive_seed, make_rng
@@ -369,13 +368,16 @@ class TestEmission:
         assert capsys.readouterr().out == text
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_emit_table_streams_a_long_table_unchanged(self, fmt, tmp_path):
+    def test_emit_table_streams_a_long_table_unchanged(self, fmt, tmp_path, capsys):
         # Each record is several JSON pieces, so this table spans many batches.
         rows = [[f"p{k}", k / 7.0, k] for k in range(_WRITE_BATCH)]
         records = [{"name": f"p{k}", "points": [[k / 7.0, 0.5]]} for k in range(_WRITE_BATCH)]
-        text = render_table(["name", "x", "k"], rows, records, fmt)
+        emit_table(["name", "x", "k"], rows, records, fmt, None)
+        text = capsys.readouterr().out
         if fmt == "json":
             assert text == json.dumps(records, indent=2) + "\n"
+        else:
+            assert text.splitlines()[:2] == ["name,x,k", "p0,0,0"] and text.count("\n") == _WRITE_BATCH + 1
         emit_table(["name", "x", "k"], iter(rows), iter(records), fmt, tmp_path / "out")
         assert (tmp_path / "out").read_bytes() == text.encode()
 

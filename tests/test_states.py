@@ -1,4 +1,4 @@
-"""Core state algebra: construction, overlap, Schmidt, density matrices."""
+"""Core state algebra: construction, overlap, Schmidt coefficients, density matrices."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from photon_duality import (
     DensityMatrix,
     TwoPathState,
-    coefficient_matrix,
     concurrence_pure,
     estimate_vdc_from_rho,
     overlap,
@@ -129,39 +128,32 @@ class TestOverlap:
 class TestSchmidt:
     def test_product_state(self):
         s = TwoPathState(1.0, 0.0, [1, 0], [0, 1])
-        sd = schmidt_decompose(s)
-        assert (sd.lambda1, sd.lambda2) == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert schmidt_decompose(s) == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_maximally_entangled(self):
-        sd = schmidt_decompose(balanced_state())
-        assert (sd.lambda1, sd.lambda2) == pytest.approx((HALF, HALF), abs=1e-12)
+        assert schmidt_decompose(balanced_state()) == pytest.approx((HALF, HALF), abs=1e-12)
 
     def test_partial_overlap_coefficients(self):
         # SVD of [[1/sqrt2, 0], [1/2, 1/2]]: cos/sin of pi/8.
-        sd = schmidt_decompose(balanced_state(phi_b=(HALF, HALF)))
-        assert sd.lambda1 == pytest.approx(0.9238795325112867, abs=1e-9)
-        assert sd.lambda2 == pytest.approx(0.3826834323650898, abs=1e-9)
+        lambda1, lambda2 = schmidt_decompose(balanced_state(phi_b=(HALF, HALF)))
+        assert lambda1 == pytest.approx(0.9238795325112867, abs=1e-9)
+        assert lambda2 == pytest.approx(0.3826834323650898, abs=1e-9)
         # Cross-check: lambda1*lambda2 = |c_a c_b| sqrt(1 - |gamma|^2).
-        assert sd.lambda1 * sd.lambda2 == pytest.approx(
-            0.5 * math.sqrt(1 - 0.5), abs=1e-12
-        )
-
-    def test_reconstruction_over_random_states(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            s = random_two_path_state(rng, dim=int(rng.integers(2, 5)))
-            sd = schmidt_decompose(s)
-            rebuilt = sd.lambda1 * np.outer(
-                sd.path_basis[0], sd.internal_basis[0]
-            ) + sd.lambda2 * np.outer(sd.path_basis[1], sd.internal_basis[1])
-            assert np.linalg.norm(rebuilt - coefficient_matrix(s)) < 1e-10
+        assert lambda1 * lambda2 == pytest.approx(0.5 * math.sqrt(1 - 0.5), abs=1e-12)
 
     def test_weights_on_unit_circle(self):
+        # The two coefficients are pinned by their sum of squares and their
+        # product |c_a c_b| sqrt(1 - |gamma|^2), in every dimension.
         rng = np.random.default_rng(12)
         for _ in range(300):
-            sd = schmidt_decompose(random_two_path_state(rng))
-            assert sd.lambda1**2 + sd.lambda2**2 == pytest.approx(1.0, abs=1e-10)
-            assert sd.lambda1 >= sd.lambda2 >= 0.0
+            s = random_two_path_state(rng, dim=int(rng.integers(2, 5)))
+            lams = schmidt_decompose(s)
+            assert all(type(x) is float for x in lams)
+            lambda1, lambda2 = lams
+            assert lambda1**2 + lambda2**2 == pytest.approx(1.0, abs=1e-10)
+            assert lambda1 >= lambda2 >= 0.0
+            product = abs(s.c_a * s.c_b) * math.sqrt(max(0.0, 1.0 - abs(overlap(s)) ** 2))
+            assert lambda1 * lambda2 == pytest.approx(product, abs=1e-10)
 
 
 class TestConcurrencePure:
@@ -175,8 +167,12 @@ class TestConcurrencePure:
         )
 
     def test_partial(self):
-        sd = schmidt_decompose(balanced_state(phi_b=(HALF, HALF)))
-        assert concurrence_pure(sd) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+        lams = schmidt_decompose(balanced_state(phi_b=(HALF, HALF)))
+        assert concurrence_pure(lams) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+
+    def test_clipped_into_unit_interval(self):
+        assert concurrence_pure((HALF + 1e-9, HALF + 1e-9)) == 1.0
+        assert concurrence_pure((1.0, -1e-17)) == 0.0
 
 
 class TestDensityMatrix:
@@ -364,9 +360,7 @@ class TestGlobalPhaseInvariance:
         phase = complex(math.cos(theta), math.sin(theta))
         rotated = TwoPathState(phase * s.c_a, phase * s.c_b, s.phi_a, s.phi_b)
         assert abs(overlap(rotated)) == pytest.approx(abs(overlap(s)), abs=1e-12)
-        sd, sd_rot = schmidt_decompose(s), schmidt_decompose(rotated)
-        assert sd_rot.lambda1 == pytest.approx(sd.lambda1, abs=1e-12)
-        assert sd_rot.lambda2 == pytest.approx(sd.lambda2, abs=1e-12)
+        assert schmidt_decompose(rotated) == pytest.approx(schmidt_decompose(s), abs=1e-12)
         assert wootters_concurrence(to_density_matrix(rotated)) == pytest.approx(
             wootters_concurrence(to_density_matrix(s)), abs=1e-9
         )

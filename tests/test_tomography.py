@@ -19,7 +19,6 @@ from photon_duality import (
     estimate_vdc_from_rho,
     exact_record,
     mle_reconstruct,
-    outcome_probabilities,
     pure_state_fidelity,
     random_two_path_state,
     sample_counts,
@@ -38,6 +37,7 @@ from photon_duality.tomography import (
     PAULI,
     _collect,
     _model,
+    _outcome_table,
 )
 
 HALF = math.sqrt(0.5)
@@ -48,6 +48,11 @@ SIGNS = np.array([s * t for s, t in OUTCOMES], dtype=np.float64)
 
 def pauli_operator(m):
     return np.kron(PAULI[m.path_op], PAULI[m.internal_op])
+
+
+def outcome_row(rho, m):
+    """Setting ``m``'s exact outcome distribution: its row of the outcome table."""
+    return _outcome_table(rho)[ALL_SETTINGS.index(m)]
 
 
 def expectation(rec):
@@ -222,7 +227,7 @@ class TestSettings:
     def test_sixteen_settings_one_trivial(self):
         assert len(ALL_SETTINGS) == 16
         assert len(NONTRIVIAL_SETTINGS) == 15
-        assert sum(m.is_trivial for m in ALL_SETTINGS) == 1
+        assert set(ALL_SETTINGS) - set(NONTRIVIAL_SETTINGS) == {MeasurementSetting("I", "I")}
 
     def test_rejects_unknown_operator(self):
         with pytest.raises(ValueError, match="I, X, Y, Z"):
@@ -248,7 +253,7 @@ class TestPauliExpectation:
 
     def test_trivial_setting(self):
         rho = to_density_matrix(bell_like_state())
-        p = outcome_probabilities(rho, MeasurementSetting("I", "I"))
+        p = outcome_row(rho, MeasurementSetting("I", "I"))
         assert p @ SIGNS == pytest.approx(1.0)
 
     def test_bell_like_stabilizer(self):
@@ -256,12 +261,12 @@ class TestPauliExpectation:
         rho = to_density_matrix(bell_like_state())
         oracle = np.trace(rho.matrix @ np.kron(PAULI["X"], PAULI["X"])).real
         assert oracle == pytest.approx(1.0, abs=1e-12)
-        p = outcome_probabilities(rho, MeasurementSetting("X", "X"))
+        p = outcome_row(rho, MeasurementSetting("X", "X"))
         assert p @ SIGNS == pytest.approx(1.0, abs=1e-12)
 
     def test_path_population_difference(self):
         s = TwoPathState(math.sqrt(0.7), math.sqrt(0.3), [1, 0], [1, 0])
-        p = outcome_probabilities(to_density_matrix(s), MeasurementSetting("Z", "I"))
+        p = outcome_row(to_density_matrix(s), MeasurementSetting("Z", "I"))
         assert p @ SIGNS == pytest.approx(0.4, abs=1e-12)
 
     def test_range(self):
@@ -269,14 +274,14 @@ class TestPauliExpectation:
         for _ in range(100):
             rho = to_density_matrix(random_two_path_state(rng))
             for m in ALL_SETTINGS:
-                e = outcome_probabilities(rho, m) @ SIGNS
+                e = outcome_row(rho, m) @ SIGNS
                 assert abs(e) <= 1 + 1e-10
                 assert e == pytest.approx(np.trace(rho.matrix @ pauli_operator(m)).real, abs=1e-12)
 
     def test_rejects_higher_dimension(self):
         rho = to_density_matrix(random_two_path_state(np.random.default_rng(1), dim=3))
         with pytest.raises(ValueError, match="d = 2"):
-            outcome_probabilities(rho, MeasurementSetting("Z", "I"))
+            _outcome_table(rho)
 
 
 class TestSampleCounts:
@@ -324,12 +329,14 @@ class TestSampleCounts:
             seeds = [derive_seed(shots, i, k) for k in range(15)]
             records = sample_counts(rho, shots, seeds)
             assert records.counts.shape == (15, 4)
+            table = _outcome_table(rho)
             for k, m in enumerate(NONTRIVIAL_SETTINGS):
                 row = 4 * (k + 1)
                 p = np.einsum("kab,ba->k", stack[row : row + 4], rho.matrix).real
                 p = np.clip(p, 0.0, None)
                 p = p / p.sum()
-                assert np.array_equal(outcome_probabilities(rho, m), p)
+                assert np.array_equal(table[k + 1], p)
+                assert np.array_equal(exact_record(rho, m).counts, table[k + 1])
                 expected = make_rng(seeds[k]).multinomial(shots, p)
                 assert np.array_equal(records.counts[k], expected)
                 assert records.shots[k] == shots
@@ -365,9 +372,14 @@ class TestSampleCounts:
         rho = to_density_matrix(bell_like_state())
         m = MeasurementSetting("X", "X")
         rec = exact_record(rho, m)
-        np.testing.assert_allclose(rec.counts, outcome_probabilities(rho, m), atol=1e-15)
+        assert np.array_equal(rec.counts, outcome_row(rho, m))
         assert rec.counts.dtype == np.float64
         assert expectation(rec) == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_record_rejects_the_trivial_setting(self):
+        rho = to_density_matrix(bell_like_state())
+        with pytest.raises(ValueError, match=r"the \(I, I\) setting is trivially 1"):
+            exact_record(rho, MeasurementSetting("I", "I"))
 
     @pytest.mark.parametrize(
         "counts, message",
@@ -809,7 +821,7 @@ class TestMLEProperties:
                 shots = rng.integers(1, 100_000, size=15)
             counts = np.zeros((15, 4), dtype=np.int64)
             for k, m in enumerate(NONTRIVIAL_SETTINGS):
-                p = outcome_probabilities(rho, m)
+                p = outcome_row(rho, m)
                 if kind == "one-outcome":
                     counts[k, rng.choice(np.flatnonzero(p > 0.0))] = shots[k]
                 else:
