@@ -29,9 +29,16 @@ carries the bound ll* - ll <= lambda_max(G) - Tr(G rho), where
 G = sum_k (n_k / p_k) P_k is its gradient (Glancy, Knill & Girard, New J.
 Phys. 14, 095017, 2012).  The R the iteration builds is G over the mean
 shots per setting, so lambda_max(R) / Tr(R rho) - 1 is that bound per count
-(Tr(G rho) = N, the total count).  This certified shortfall per count,
-``gap``, is the loop's one stop rule: it stops at ``gap < tol`` for the
-per-count ``tol`` it is given, and ``gap`` times N is the bound in nats.
+(Tr(G rho) = N, the total count).  That bound is loose near rank-deficient
+optima, so below ``DUAL_GATE`` times the stop the loop also tries weak
+Lagrange duality: log x <= x - 1 gives ll* <= lambda_max(sum_k w_k P_k) +
+sum_{n_k > 0} n_k log(n_k / w_k) - N for any w >= 0 positive wherever n_k
+is, the gradient bound at w = n / p.  It takes w = n / p + delta, the least
+(p^2 / n)-weighted delta that moves to N each eigenvalue of G above N or in
+rho's support (one solve in ``design``'s Hermitian coordinates).  The lower
+bound per count, ``gap``, is the loop's one stop rule: it stops at
+``gap < tol`` for the per-count ``tol`` it is given, and ``gap`` times N is
+a certified shortfall in nats.
 ``tomography.mle_reconstruct`` takes a total shortfall in nats (default
 0.015) and hands the loop that over N: 1e-8 at 1e5 shots per setting and
 for exact records, 2.5e-7 at 4000.
@@ -61,6 +68,14 @@ EPS_MIN = 1e-8
 # no direction starts at zero, where only a projected step could revive it
 # (map applications on the 14 `sweep` inputs: 280 at 0, 256 at 1e-4).
 START_MIX = 1e-4
+# Cap on the projected step's eta (at most 512 on shipped inputs; uncapped
+# it passed 2^53 on some, where the simplex shift loses the 1 to rounding).
+ETA_MAX = 2.0**20
+# The dual bound is tried while stop <= gradient bound < DUAL_GATE stop (14
+# `sweep` inputs: 136 map applications, 12 tries; at 1e4, 120 and 32).
+DUAL_GATE = 1e3
+# An eigenvector of G carrying more of rho than this is in rho's support.
+SUPPORT = 1e-4
 # Steps whose likelihood change is within this many ulps of the current
 # log-likelihood count as non-decreasing: near convergence the true (always
 # non-negative) gain of a full step drops below what float64 can resolve,
@@ -68,25 +83,32 @@ START_MIX = 1e-4
 _ULP_SLACK = 16.0 * 2.220446049250313e-16
 
 
-def design(projs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, A^+): a (K, n, n) complex projector stack as the real (K, 2 n^2)
-    matrix A, and its pseudo-inverse, both read-only; build once per stack."""
+def design(projs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(A, A^+, C, j), read-only; build once per stack.  A is the (K, n, n)
+    complex projector stack as the real (K, 2 n^2) matrix, A^+ its
+    pseudo-inverse and C = A[:, j] its (K, n^2) coordinates on n x n
+    Hermitian matrices X, read as Re X_ab (a <= b) and Im X_ab (a < b)."""
     projs = np.ascontiguousarray(projs, dtype=np.complex128)
     rows = projs.reshape(projs.shape[0], -1).view(np.float64)
-    inverse = np.linalg.pinv(rows)
-    for a in (rows, inverse):
-        a.setflags(write=False)
-    return rows, inverse
+    upper = np.triu(np.ones(projs.shape[1:]))  # Re at a <= b, Im at a < b
+    index = np.flatnonzero(np.stack([upper, np.triu(upper, 1)], axis=-1))
+    model = (rows, np.linalg.pinv(rows), rows[:, index], index)
+    for x in model:
+        x.setflags(write=False)
+    return model
 
 
 def _simplex_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors of Hermitian ``a`` and its eigenvalues projected onto the
     unit simplex (sort-based, Duchi et al., ICML 2008), ascending."""
     w, vecs = np.linalg.eigh(a)
-    u = w[::-1]
-    css = np.cumsum(u) - 1.0
-    k = np.flatnonzero(u * np.arange(1, len(w) + 1) > css)[-1]
-    return np.maximum(w - css[k] / (k + 1), 0.0), vecs
+    # The last j with u_j j > sum(u[:j]) - 1, u descending (j = 1 always).
+    total = 0.0
+    for j, u in enumerate(w.tolist()[::-1], 1):
+        total += u
+        if j == 1 or u * j > total - 1.0:
+            shift = (total - 1.0) / j
+    return np.maximum(w - shift, 0.0), vecs
 
 
 def _probabilities(rows: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -119,17 +141,20 @@ def mle_loop(model, counts, freqs, max_iter: int, tol: float):
     starting state once, for the projected step, the first plain step and
     the certificate ``gap = max(lambda_max(R) / Tr(R rho) - 1, 0)`` (one
     n x n ``eigvalsh``), and again after a projected step that raises the
-    likelihood, to test its zeroed directions; the loop stops when
+    likelihood, to test its zeroed directions.  While ``tol <= gap <
+    DUAL_GATE * tol`` the lower dual bound replaces it (an ``eigh``, a
+    16 x 16 solve and an ``eigvalsh`` at n = 4); the loop stops when
     ``gap < tol``.  ``gap`` is returned for the returned state and
     ``converged`` is ``gap < tol``, also when the loop ends because no step
     short of ``EPS_MIN`` dilution keeps the likelihood; ``tol = 0.0`` runs
     the whole budget.
     """
-    rows, inverse = model
+    rows, inverse, coords, index = model
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     n = math.isqrt(rows.shape[1] // 2)
     total = freqs.sum()  # Tr(R rho) where no p is floored
+    seen = freqs > 0.0
 
     def unit(t):
         return t * (1.0 / math.sqrt(np.vdot(t, t).real))
@@ -145,9 +170,29 @@ def mle_loop(model, counts, freqs, max_iter: int, tol: float):
         # R = sum_k (freqs_k / p_k) P_k.
         return ((freqs / p) @ rows).view(np.complex128).reshape(n, n)
 
-    def certificate(r, t, rt):
-        # lambda_max(R) / Tr(R rho) - 1 at rho = t t^H, floored at 0.
-        return max(float(np.linalg.eigvalsh(r)[-1] / np.vdot(t, rt).real) - 1.0, 0.0)
+    def certificate(r, cur, rt):
+        # lambda_max(R) / Tr(R rho) - 1 at rho = t t^H, floored at 0; while
+        # the gate is open, the dual bound at w = f / p + delta (module
+        # docstring) in its place where lower and valid (w_k > 0 where f_k > 0).
+        t, _, p, _ = cur
+        gap = max(float(np.linalg.eigvalsh(r)[-1] / np.vdot(t, rt).real) - 1.0, 0.0)
+        if not tol <= gap < DUAL_GATE * tol:
+            return gap
+        g, vecs = np.linalg.eigh(r)
+        carried = np.square(np.abs(vecs.conj().T @ t)).sum(axis=1)
+        shift = (vecs * np.where((g > total) | (carried > SUPPORT), total - g, 0.0)) @ vecs.conj().T
+        weight = freqs / (p * p)
+        e = shift.reshape(-1).view(np.float64)[index]
+        try:  # delta = weight y: least in the (p^2 / f)-norm with sum_k delta_k P_k = shift
+            y = coords @ np.linalg.solve((coords.T * weight) @ coords, e)
+        except np.linalg.LinAlgError:
+            return gap
+        x = y[seen] / p[seen]  # w_k = (f_k / p_k) (1 + x_k); delta_k = 0 where f_k = 0
+        if not x.min() > -1.0:
+            return gap
+        w = freqs / p + weight * y
+        lam = np.linalg.eigvalsh((w @ rows).view(np.complex128).reshape(n, n))[-1]
+        return max(min(gap, float(lam - freqs[seen] @ np.log1p(x)) / total - 1.0), 0.0)
 
     def plain_step(cur, rt):
         # Full step t -> R t if it keeps the likelihood, else the largest
@@ -188,7 +233,7 @@ def mle_loop(model, counts, freqs, max_iter: int, tol: float):
     while True:
         r = reweighting(cur[2])
         rt = r @ cur[0]
-        gap = certificate(r, cur[0], rt)
+        gap = certificate(r, cur, rt)
         if gap < tol or iterations >= max_iter:
             break
         if max_iter - iterations >= 4:
@@ -200,12 +245,12 @@ def mle_loop(model, counts, freqs, max_iter: int, tol: float):
                 rt1 = r1 @ cand[0]
                 nul = zeroed.conj().T @ r1 @ zeroed
                 if not nul.size or np.linalg.eigvalsh(nul)[-1] <= np.vdot(cand[0], rt1).real:
-                    cur, r, rt, eta = cand, r1, rt1, 4.0 * eta
+                    cur, r, rt, eta = cand, r1, rt1, min(4.0 * eta, ETA_MAX)
         full_cycle = max_iter - iterations >= 3
         t1 = plain_step(cur, rt)
         iterations += 1
         if t1 is None:
-            gap = certificate(r, cur[0], rt)
+            gap = certificate(r, cur, rt)
             break
         if not full_cycle:
             cur = t1
@@ -215,7 +260,7 @@ def mle_loop(model, counts, freqs, max_iter: int, tol: float):
         t2 = plain_step(t1, rt)
         iterations += 1
         if t2 is None:
-            cur, gap = t1, certificate(r, t1[0], rt)
+            cur, gap = t1, certificate(r, t1, rt)
             break
         cand = extrapolated(cur[0], t1[0], t2[0])
         iterations += 1

@@ -210,8 +210,8 @@ class TomographyResult:
     """A maximum-likelihood state and what the run can vouch for.
 
     ``gap`` is the certified log-likelihood shortfall of ``rho_hat`` per
-    count (times the total count N it is in nats), and ``converged`` is
-    ``gap < tol / N`` where that stop is resolvable (see ``mle_reconstruct``).
+    count (times the total count N it is in nats), a gradient or dual bound,
+    and ``converged`` is ``gap < tol / N`` where that stop is resolvable.
     """
 
     rho_hat: DensityMatrix
@@ -272,12 +272,14 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> Tomogr
     the run stops (Glancy, Knill & Girard, New J. Phys. 14, 095017, 2012).
     A shortfall of delta nats moves each estimate by at most sqrt(2 delta)
     of its standard error, 0.17 sigma at the default 0.015.  The kernel
-    certifies the shortfall per count, ``gap`` = (lambda_max(G) - Tr(G rho))
+    certifies the shortfall per count, ``gap``: (lambda_max(G) - Tr(G rho))
     / N with G the likelihood's gradient and N the total count (the sum of
-    the records' shots), so the run stops, and ``converged`` holds, once
-    ``gap < tol / N``: 1e-8 at 1e5 shots per setting.  Records with a
-    fractional count are exact, with no shot noise to scale to, and stop at
-    ``gap < tol / 1.5e6`` whatever their shots.  ``gap`` stays per count.
+    the records' shots), or a lower Lagrange-dual bound once that is within
+    ``_kernels.DUAL_GATE`` (1e3) times the stop.  The run stops, and
+    ``converged`` holds, once ``gap < tol / N``: 1e-8 at 1e5 shots per
+    setting.  Records with a fractional count are exact, with no shot noise
+    to scale to, and stop at ``gap < tol / 1.5e6`` whatever their shots.
+    ``gap`` stays per count.
     A stop ``tol / N`` below ``_kernels._ULP_SLACK`` (~3.6e-15, N above
     ~4e12 at the default) is finer than the certificate resolves, so the
     run stops there but never reports ``converged``.
