@@ -46,7 +46,6 @@ from .states import (
     wootters_concurrence,
 )
 from .tomography import (
-    ALL_SETTINGS,
     NONTRIVIAL_SETTINGS,
     CountRecord,
     MeasurementSetting,

@@ -40,8 +40,10 @@ bound per count, ``gap``, is the loop's one stop rule: it stops at
 ``gap < tol`` for the per-count ``tol`` it is given, and ``gap`` times N is
 a certified shortfall in nats.
 ``tomography.mle_reconstruct`` takes a total shortfall in nats (default
-0.015) and hands the loop that over N: 1e-8 at 1e5 shots per setting and
-for exact records, 2.5e-7 at 4000.
+0.015) and hands the loop that over N: 1e-8 at 1e5 shots per setting (and
+so for exact records), 2.5e-7 at 4000.  A stop below ``_ULP_SLACK`` is
+finer than the certificate resolves: the loop stops there all the same but
+never reports ``converged``.
 
 The (K, n, n) stack of Hermitian outcome projectors is read as a real
 (K, 2 n^2) matrix A over the interleaved real and imaginary parts of each
@@ -145,9 +147,9 @@ def mle_loop(model, counts, freqs, max_iter: int, tol: float):
     DUAL_GATE * tol`` the lower dual bound replaces it (an ``eigh``, a
     16 x 16 solve and an ``eigvalsh`` at n = 4); the loop stops when
     ``gap < tol``.  ``gap`` is returned for the returned state and
-    ``converged`` is ``gap < tol``, also when the loop ends because no step
-    short of ``EPS_MIN`` dilution keeps the likelihood; ``tol = 0.0`` runs
-    the whole budget.
+    ``converged``, a bool, is ``gap < tol`` with ``tol >= _ULP_SLACK``,
+    also when the loop ends because no step short of ``EPS_MIN`` dilution
+    keeps the likelihood; ``tol = 0.0`` runs the whole budget.
     """
     rows, inverse, coords, index = model
     counts = np.ascontiguousarray(counts, dtype=np.float64)
@@ -265,4 +267,4 @@ def mle_loop(model, counts, freqs, max_iter: int, tol: float):
         cand = extrapolated(cur[0], t1[0], t2[0])
         iterations += 1
         cur = cand if cand[3] >= t2[3] - _ULP_SLACK * (1.0 + abs(t2[3])) else t2
-    return cur[1], iterations, cur[3], gap, gap < tol
+    return cur[1], iterations, cur[3], gap, bool(_ULP_SLACK <= tol and gap < tol)

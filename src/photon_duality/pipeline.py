@@ -155,8 +155,9 @@ def sample_fringe(sc: Scenario) -> FringeScan:
 
 
 def _surviving_fraction(p: float, shots: int, seed: int, arm_index: int) -> float:
+    # |c|^2 may pass 1 by up to NORM_ATOL, which binomial rejects.
     rng = make_rng(derive_seed(seed, STAGE_BLOCKING, arm_index))
-    return float(rng.binomial(shots, p)) / shots
+    return float(rng.binomial(shots, min(p, 1.0))) / shots
 
 
 def _clamp_point(point) -> tuple[float, float, float]:

@@ -202,9 +202,12 @@ class DensityMatrix:
 
 
 def to_density_matrix(s: TwoPathState) -> DensityMatrix:
-    """Rank-1 projector onto the state in the path (x) internal basis."""
+    """Rank-1 projector onto the state in the path (x) internal basis, divided
+    by <psi|psi> where that is off 1 by more than ``MATRIX_ATOL`` (a state is
+    unit only within ``NORM_ATOL``); bit-for-bit |psi><psi| otherwise."""
     psi = state_vector(s)
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    mat, norm = np.outer(psi, psi.conj()), np.vdot(psi, psi).real
+    return DensityMatrix(mat / norm if abs(norm - 1.0) > MATRIX_ATOL else mat)
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

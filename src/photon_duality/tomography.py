@@ -16,26 +16,27 @@ Reconstruction is maximum likelihood, always physical, from the projected
 linear-inversion state to a certified log-likelihood shortfall below ``tol``
 nats; the inner loop lives in ``_kernels``.
 
-All 64 outcome projectors (16 settings x 4 outcomes) form one read-only
-stack, built on first use and shared by the outcome table and the MLE loop,
-which reads the 60 rows of the nontrivial settings and, for its start, their
-pseudo-inverse, also built once.  The outcome table is
-one contraction of that stack with rho: the (16, 4) outcome distributions
-of all settings, from which both count sampling and ``exact_record`` read
-their rows.
+The 60 outcome projectors of the nontrivial settings (15 settings x 4
+outcomes) form one read-only stack, built on first use and shared by the
+outcome table and the MLE loop, which for its start also reads their
+pseudo-inverse, built once.  The outcome table is one contraction of that
+stack with rho: the (15, 4) outcome distributions, from which both count
+sampling and ``exact_record`` read their rows.
 
 One ``sample_counts`` call draws a whole record set, row k one multinomial
 from setting k's own seed, so counts are reproducible bit-for-bit from their
 seeds.  A list of per-setting ``CountRecord``s, as ``exact_record`` builds,
-is read into a record set; such a record carries the infinite-shot limit
-(outcome probabilities as fractional counts with shots = 1).
+is read into a record set, which is where its counts are checked; an exact
+record carries the expected counts of a ``DEFAULT_SHOTS`` run.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,19 +91,15 @@ class MeasurementSetting:
         return f"{self.path_op}{self.internal_op}"
 
 
-ALL_SETTINGS: tuple[MeasurementSetting, ...] = tuple(
-    MeasurementSetting(p, i) for p in "IXYZ" for i in "IXYZ"
+NONTRIVIAL_SETTINGS: tuple[MeasurementSetting, ...] = tuple(
+    MeasurementSetting(p, i) for p in "IXYZ" for i in "IXYZ" if p + i != "II"
 )
-# (I, I) comes first in ``ALL_SETTINGS``, so dropping the first setting (its
-# four rows of the projector stack, its row of the outcome table) leaves the
-# nontrivial settings in their order.
-NONTRIVIAL_SETTINGS: tuple[MeasurementSetting, ...] = ALL_SETTINGS[1:]
 
 
 @cache
 def _projector_stack() -> np.ndarray:
-    """(64, 4, 4) outcome projectors of ``ALL_SETTINGS``, ordered as ``OUTCOMES``."""
-    stack = np.array([proj for m in ALL_SETTINGS for proj in m.outcome_projectors()])
+    """(60, 4, 4) outcome projectors of ``NONTRIVIAL_SETTINGS``, ordered as ``OUTCOMES``."""
+    stack = np.array([proj for m in NONTRIVIAL_SETTINGS for proj in m.outcome_projectors()])
     stack.setflags(write=False)
     return stack
 
@@ -115,49 +112,21 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
 
 
 def _outcome_table(rho: DensityMatrix) -> np.ndarray:
-    """(16, 4) exact outcome distributions of ``ALL_SETTINGS``, rows ordered as
-    ``OUTCOMES``."""
+    """(15, 4) exact outcome distributions of ``NONTRIVIAL_SETTINGS``, rows
+    ordered as ``OUTCOMES``."""
     _require_two_qubits(rho)
     p = np.einsum("kab,ba->k", _projector_stack(), rho.matrix).real
-    p = np.clip(p, 0.0, None).reshape(len(ALL_SETTINGS), len(OUTCOMES))  # ~-1e-8 PSD dust
+    p = np.clip(p, 0.0, None).reshape(len(NONTRIVIAL_SETTINGS), len(OUTCOMES))  # ~-1e-8 PSD dust
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _checked_counts(counts, shots, shape: tuple[int, ...]) -> np.ndarray:
-    """A read-only copy of ``counts``, checked against ``shape`` and the
-    ``shots`` each row (the last axis, ordered as ``OUTCOMES``) must sum to."""
-    counts = np.array(counts)
-    if counts.shape != shape or counts.dtype.kind not in "iuf":
-        raise ValueError(f"counts must be a numeric {shape} array in OUTCOMES order")
-    totals = counts.sum(axis=-1, dtype=np.float64)
-    if not np.all(np.isfinite(totals)):  # a NaN or an infinite count
-        raise ValueError("counts must be finite")
-    if counts.min() < 0:
-        raise ValueError("counts must be non-negative")
-    expected = np.array(shots, dtype=np.float64)
-    off = np.flatnonzero(np.abs(totals - expected) > 1e-9 * np.maximum(1.0, expected))
-    if off.size:
-        k, shots = off[0], np.ravel(shots)
-        where = f" of setting {NONTRIVIAL_SETTINGS[k].label()}" if counts.ndim == 2 else ""
-        raise ValueError(f"counts{where} sum to {totals.flat[k]}, expected shots = {shots[k]}")
-    counts.setflags(write=False)
-    return counts
-
-
-@dataclass(frozen=True, eq=False)
-class CountRecord:
-    """Outcome counts for one measurement setting: ``counts`` is a read-only
-    (4,) array ordered as ``OUTCOMES`` that sums to ``shots``.  Records from
-    ``exact_record`` carry the outcome probabilities themselves as fractional
-    counts with shots = 1 (the infinite-shot idealization)."""
+class CountRecord(NamedTuple):
+    """Outcome counts for one measurement setting, ordered as ``OUTCOMES``,
+    and the ``shots`` they sum to; checked when read into a ``RecordSet``."""
 
     setting: MeasurementSetting
     counts: np.ndarray
     shots: int
-
-    def __post_init__(self):
-        shots = _check_count(self.shots, "shots", 1)
-        object.__setattr__(self, "counts", _checked_counts(self.counts, shots, (len(OUTCOMES),)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,17 +134,37 @@ class RecordSet:
     """The counts of one tomography run, validated once: ``counts`` is a
     read-only (15, 4) array, row k the setting ``NONTRIVIAL_SETTINGS[k]`` and
     columns ordered as ``OUTCOMES``, and ``shots`` holds each setting's shots,
-    which its row sums to.  Every row obeys ``CountRecord``'s rules."""
+    which its row sums to.  Counts are finite and non-negative; they need not
+    be integers."""
 
     counts: np.ndarray
     shots: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.shots, Iterable):
+            raise ValueError(f"shots must hold each nontrivial setting's shots, got {self.shots!r}")
         shots = tuple(_check_count(s, "shots", 1) for s in self.shots)
         if len(shots) != len(NONTRIVIAL_SETTINGS):
             raise ValueError(f"need the shots of each nontrivial setting (15), got {len(shots)}")
         shape = (len(NONTRIVIAL_SETTINGS), len(OUTCOMES))
-        object.__setattr__(self, "counts", _checked_counts(self.counts, shots, shape))
+        counts = np.array(self.counts)
+        if counts.shape != shape or counts.dtype.kind not in "iuf":
+            raise ValueError(f"counts must be a numeric {shape} array in OUTCOMES order")
+        totals = counts.sum(axis=1, dtype=np.float64)
+        if not np.all(np.isfinite(totals)):  # a NaN or an infinite count
+            raise ValueError("counts must be finite")
+        if counts.min() < 0:
+            raise ValueError("counts must be non-negative")
+        expected = np.array(shots, dtype=np.float64)
+        off = np.flatnonzero(np.abs(totals - expected) > 1e-9 * expected)
+        if off.size:
+            k = off[0]
+            raise ValueError(
+                f"counts of setting {NONTRIVIAL_SETTINGS[k].label()} sum to {totals[k]}, "
+                f"expected shots = {shots[k]}"
+            )
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots", shots)
 
     @property
@@ -193,16 +182,18 @@ def sample_counts(rho: DensityMatrix, shots: int, seeds) -> RecordSet:
     shots = _check_count(shots, "shots", 1)
     if len(seeds) != len(NONTRIVIAL_SETTINGS):
         raise ValueError(f"need one seed per nontrivial setting (15), got {len(seeds)}")
-    table = _outcome_table(rho)[1:]
+    table = _outcome_table(rho)
     counts = np.stack([make_rng(seed).multinomial(shots, p) for seed, p in zip(seeds, table)])
     return RecordSet(counts, (shots,) * len(NONTRIVIAL_SETTINGS))
 
 
 def exact_record(rho: DensityMatrix, m: MeasurementSetting) -> CountRecord:
-    """Infinite-shot record: fractional counts equal to the exact distribution."""
+    """Shot-noise-free record: the expected counts of a ``DEFAULT_SHOTS`` run,
+    ``DEFAULT_SHOTS`` times setting ``m``'s exact outcome distribution."""
     if m not in NONTRIVIAL_SETTINGS:
         raise ValueError("the (I, I) setting is trivially 1 and is never recorded")
-    return CountRecord(setting=m, counts=_outcome_table(rho)[ALL_SETTINGS.index(m)], shots=1)
+    p = _outcome_table(rho)[NONTRIVIAL_SETTINGS.index(m)]
+    return CountRecord(m, DEFAULT_SHOTS * p, DEFAULT_SHOTS)
 
 
 @dataclass(frozen=True)
@@ -211,7 +202,8 @@ class TomographyResult:
 
     ``gap`` is the certified log-likelihood shortfall of ``rho_hat`` per
     count (times the total count N it is in nats), a gradient or dual bound,
-    and ``converged`` is ``gap < tol / N`` where that stop is resolvable.
+    and ``converged`` is ``gap < tol / N`` where the kernel can resolve that
+    stop.
     """
 
     rho_hat: DensityMatrix
@@ -229,7 +221,9 @@ def _collect(records) -> RecordSet:
     if isinstance(records, RecordSet):
         return records
     by_setting: dict[MeasurementSetting, CountRecord] = {}
-    for rec in records:
+    for rec in records if isinstance(records, Iterable) else [records]:
+        if not isinstance(rec, CountRecord):
+            raise ValueError(f"records must be a RecordSet or CountRecords, got {rec!r}")
         if rec.setting in by_setting:
             raise ValueError(f"duplicate records for setting {rec.setting.label()}")
         by_setting[rec.setting] = rec
@@ -244,16 +238,9 @@ def _collect(records) -> RecordSet:
 
 
 @cache
-def _model() -> tuple[np.ndarray, np.ndarray]:
+def _model() -> tuple[np.ndarray, ...]:
     """The kernel's read-only ``design`` of the 60 nontrivial outcome rows."""
-    return _kernels.design(_projector_stack()[4:])
-
-
-# Records with fractional counts (``exact_record``) hold probabilities, not
-# samples, so they have no shot noise to scale the stop to.  They read ``tol``
-# at the default scenarios' shots, which at the default ``tol`` is a
-# shortfall of 1e-8 per count.
-_EXACT_RECORD_TOTAL = len(NONTRIVIAL_SETTINGS) * DEFAULT_SHOTS
+    return _kernels.design(_projector_stack())
 
 
 def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> TomographyResult:
@@ -277,11 +264,9 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> Tomogr
     the records' shots), or a lower Lagrange-dual bound once that is within
     ``_kernels.DUAL_GATE`` (1e3) times the stop.  The run stops, and
     ``converged`` holds, once ``gap < tol / N``: 1e-8 at 1e5 shots per
-    setting.  Records with a fractional count are exact, with no shot noise
-    to scale to, and stop at ``gap < tol / 1.5e6`` whatever their shots.
-    ``gap`` stays per count.
-    A stop ``tol / N`` below ``_kernels._ULP_SLACK`` (~3.6e-15, N above
-    ~4e12 at the default) is finer than the certificate resolves, so the
+    setting, which ``exact_record``'s expected counts carry too.  ``gap``
+    stays per count.  A stop ``tol / N`` below ~3.6e-15 (N above ~4e12 at
+    the default) is finer than the kernel's certificate resolves, so the
     run stops there but never reports ``converged``.
     ``tol = 0.0`` runs the whole budget; a negative or non-finite ``tol``
     raises ``ValueError``.  Non-convergence is reported, never raised.
@@ -290,18 +275,10 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> Tomogr
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number of nats >= 0, got {tol!r}")
     rs = _collect(records)
-    exact = not np.array_equal(rs.counts, np.rint(rs.counts))
-    stop = tol / (_EXACT_RECORD_TOTAL if exact else sum(rs.shots))
     rho_mat, iterations, ll, gap, converged = _kernels.mle_loop(
-        _model(), rs.counts.reshape(-1), rs.frequencies.reshape(-1), max_iter, stop
+        _model(), rs.counts.reshape(-1), rs.frequencies.reshape(-1), max_iter, tol / sum(rs.shots)
     )
-    return TomographyResult(
-        rho_hat=DensityMatrix(rho_mat),
-        iterations=iterations,
-        log_likelihood=ll,
-        converged=converged and stop >= _kernels._ULP_SLACK,
-        gap=gap,
-    )
+    return TomographyResult(DensityMatrix(rho_mat), iterations, ll, converged, gap)
 
 
 def estimate_vdc_from_rho(rho_hat: DensityMatrix) -> DualityTriple:

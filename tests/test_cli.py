@@ -240,6 +240,21 @@ class TestConvergenceWarning:
             assert r["mle_converged"] == (r["mle_gap"] < 0.015 / (15 * r["shots"]))
 
 
+class TestNearUnitNorm:
+    # |c_b|^2 = 1 + 8e-10 passes the state's NORM_ATOL (1e-9) but not the
+    # density matrix's trace check (1e-10), and the arm-blocking draw must
+    # not see a probability above 1.
+    @pytest.mark.parametrize("command", ["compute", "experiment", "sphere"])
+    def test_runs_end_to_end(self, command, tmp_path, capsys):
+        entry = {"name": "near-unit", "c_a": 0, "c_b": 1.0000000004, "phi_a": [1, 0],
+                 "phi_b": [0, 1], "shots": 1000, "phase_points": 64, "seed": 1}
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps([entry]))
+        assert run_cli(command, "--config", str(path), "--format", "json") == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(json.loads(captured.out)) == 1
+
+
 class TestSphere:
     def test_analytic_points(self, capsys):
         assert run_cli("sphere", "--defaults", "--analytic") == 0

@@ -11,6 +11,7 @@ from photon_duality import (
     DensityMatrix,
     TwoPathState,
     concurrence_pure,
+    default_scenarios,
     estimate_vdc_from_rho,
     overlap,
     pure_state_fidelity,
@@ -189,6 +190,19 @@ class TestDensityMatrix:
             rho = to_density_matrix(random_two_path_state(rng, dim=int(rng.integers(2, 5))))
             purity = np.trace(rho.matrix @ rho.matrix).real
             assert purity == pytest.approx(1.0, abs=1e-12)
+
+    def test_near_unit_state_is_renormalized(self):
+        # |c_b|^2 = 1 + 8e-10 is a valid state, but a trace that far off 1
+        # fails the density matrix's own check unless divided out.
+        rho = to_density_matrix(TwoPathState(0.0, 1.0000000004, [1, 0], [0, 1]))
+        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-15)
+
+    def test_unit_state_keeps_its_bits(self):
+        # Off 1 by ulps, <psi|psi> is left undivided, so seeded draws from
+        # rho stay as they were.
+        for sc in default_scenarios():
+            psi = state_vector(sc.state)
+            assert np.array_equal(to_density_matrix(sc.state).matrix, np.outer(psi, psi.conj()))
 
     def test_bell_like_entries(self):
         rho = to_density_matrix(balanced_state())

@@ -1,6 +1,7 @@
 """Pauli sampling, MLE reconstruction, triple extraction."""
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -31,7 +32,6 @@ from photon_duality.pipeline import STAGE_TOMOGRAPHY
 from photon_duality.scenarios import DEFAULT_SHOTS, MAX_SHOTS, default_scenarios, reseed
 from photon_duality.seeding import make_rng
 from photon_duality.tomography import (
-    ALL_SETTINGS,
     NONTRIVIAL_SETTINGS,
     OUTCOMES,
     PAULI,
@@ -41,6 +41,7 @@ from photon_duality.tomography import (
 )
 
 HALF = math.sqrt(0.5)
+TRIVIAL = MeasurementSetting("I", "I")
 MIXED = DensityMatrix(np.eye(4, dtype=complex) / 4)
 # Eigenvalue s * t of sigma_path (x) sigma_internal on each outcome.
 SIGNS = np.array([s * t for s, t in OUTCOMES], dtype=np.float64)
@@ -52,7 +53,7 @@ def pauli_operator(m):
 
 def outcome_row(rho, m):
     """Setting ``m``'s exact outcome distribution: its row of the outcome table."""
-    return _outcome_table(rho)[ALL_SETTINGS.index(m)]
+    return _outcome_table(rho)[NONTRIVIAL_SETTINGS.index(m)]
 
 
 def expectation(rec):
@@ -224,24 +225,26 @@ def oracle_input(index):
 
 
 class TestSettings:
-    def test_sixteen_settings_one_trivial(self):
-        assert len(ALL_SETTINGS) == 16
-        assert len(NONTRIVIAL_SETTINGS) == 15
-        assert set(ALL_SETTINGS) - set(NONTRIVIAL_SETTINGS) == {MeasurementSetting("I", "I")}
+    def test_fifteen_settings_in_path_major_order(self):
+        # Row k of every record set, and so the seed it is drawn from, is
+        # this order's k-th setting.
+        labels = [m.label() for m in NONTRIVIAL_SETTINGS]
+        assert labels == [p + i for p in "IXYZ" for i in "IXYZ"][1:]
+        assert TRIVIAL not in NONTRIVIAL_SETTINGS
 
     def test_rejects_unknown_operator(self):
         with pytest.raises(ValueError, match="I, X, Y, Z"):
             MeasurementSetting("Q", "I")
 
     def test_projectors_resolve_identity(self):
-        for m in ALL_SETTINGS:
+        for m in (TRIVIAL, *NONTRIVIAL_SETTINGS):
             total = sum(m.outcome_projectors())
             np.testing.assert_allclose(total, np.eye(4), atol=1e-14)
 
     def test_projectors_reproduce_operator(self):
         # Identity factors included: their -1 projectors are zero, so the
         # sign-weighted sum still rebuilds sigma_path (x) sigma_internal.
-        for m in ALL_SETTINGS:
+        for m in (TRIVIAL, *NONTRIVIAL_SETTINGS):
             rebuilt = sum(
                 s * t * proj for (s, t), proj in zip(OUTCOMES, m.outcome_projectors())
             )
@@ -251,10 +254,9 @@ class TestSettings:
 class TestPauliExpectation:
     """A Pauli expectation is the sign-weighted outcome distribution."""
 
-    def test_trivial_setting(self):
+    def test_table_has_a_row_per_nontrivial_setting(self):
         rho = to_density_matrix(bell_like_state())
-        p = outcome_row(rho, MeasurementSetting("I", "I"))
-        assert p @ SIGNS == pytest.approx(1.0)
+        assert _outcome_table(rho).shape == (15, 4)
 
     def test_bell_like_stabilizer(self):
         # Direct-trace oracle for <X (x) X> on the maximally entangled state.
@@ -273,7 +275,7 @@ class TestPauliExpectation:
         rng = np.random.default_rng(40)
         for _ in range(100):
             rho = to_density_matrix(random_two_path_state(rng))
-            for m in ALL_SETTINGS:
+            for m in NONTRIVIAL_SETTINGS:
                 e = outcome_row(rho, m) @ SIGNS
                 assert abs(e) <= 1 + 1e-10
                 assert e == pytest.approx(np.trace(rho.matrix @ pauli_operator(m)).real, abs=1e-12)
@@ -284,7 +286,24 @@ class TestPauliExpectation:
             _outcome_table(rho)
 
 
+# sha256 over the little-endian int64 counts of the 7 seed-42 defaults' record
+# sets (``oracle_input(0..6)``), then the 14 ``sweep`` record sets
+# (``sweep_input(d, shots)``, d-major, 4000 before 16000 shots).
+SEEDED_DRAWS_SHA256 = "c4e84fad6992e55130f012cc9242351f38e0b335c1c784b71ba4101c129d6883"
+
+
 class TestSampleCounts:
+    def test_seeded_draws_are_pinned(self):
+        # Every count the pipeline draws for these runs, each setting from
+        # derive_seed(scenario seed, STAGE_TOMOGRAPHY, k): an edit to the
+        # outcome table or to sampling that moves one draw moves the hash.
+        record_sets = [oracle_input(i) for i in range(7)]
+        record_sets += [sweep_input(d, shots) for d in range(7) for shots in (4000, 16000)]
+        digest = hashlib.sha256()
+        for rs in record_sets:
+            digest.update(np.ascontiguousarray(rs.counts, dtype="<i8").tobytes())
+        assert digest.hexdigest() == SEEDED_DRAWS_SHA256
+
     def test_single_shot_lands_once(self):
         counts = sampled_row(MIXED, MeasurementSetting("X", "Z"), shots=1, seed=3)
         assert sorted(counts.tolist()) == [0, 0, 0, 1]
@@ -323,7 +342,7 @@ class TestSampleCounts:
         # Setting k's counts are exactly the multinomial draw of seeds[k]'s
         # generator from that setting's own 4-row contraction.
         rng = np.random.default_rng(shots)
-        stack = np.array([p for m in ALL_SETTINGS for p in m.outcome_projectors()])
+        stack = np.array([p for m in NONTRIVIAL_SETTINGS for p in m.outcome_projectors()])
         for i in range(20):
             rho = to_density_matrix(random_two_path_state(rng))
             seeds = [derive_seed(shots, i, k) for k in range(15)]
@@ -331,12 +350,11 @@ class TestSampleCounts:
             assert records.counts.shape == (15, 4)
             table = _outcome_table(rho)
             for k, m in enumerate(NONTRIVIAL_SETTINGS):
-                row = 4 * (k + 1)
-                p = np.einsum("kab,ba->k", stack[row : row + 4], rho.matrix).real
+                p = np.einsum("kab,ba->k", stack[4 * k : 4 * k + 4], rho.matrix).real
                 p = np.clip(p, 0.0, None)
                 p = p / p.sum()
-                assert np.array_equal(table[k + 1], p)
-                assert np.array_equal(exact_record(rho, m).counts, table[k + 1])
+                assert np.array_equal(table[k], p)
+                assert np.array_equal(exact_record(rho, m).counts, DEFAULT_SHOTS * table[k])
                 expected = make_rng(seeds[k]).multinomial(shots, p)
                 assert np.array_equal(records.counts[k], expected)
                 assert records.shots[k] == shots
@@ -361,18 +379,22 @@ class TestSampleCounts:
 
     @pytest.mark.parametrize("shots", [1.5, 100.0, math.nan, True, 0])
     def test_count_record_shots_must_be_a_positive_int(self, shots):
+        # A record is checked where it is read: in the record set it joins.
+        recs = list(map(CountRecord, NONTRIVIAL_SETTINGS, valid_counts(), (100,) * 15))
+        recs[3] = CountRecord(recs[3].setting, np.array([1.0, 0.0, 0.0, 0.0]) * shots, shots)
         with pytest.raises(ValueError, match="shots must be an integer >= 1"):
-            CountRecord(MeasurementSetting("X", "Z"), np.array([1.0, 0.0, 0.0, 0.0]) * shots, shots)
+            mle_reconstruct(recs)
 
     def test_numpy_integer_shots_accepted(self):
         records = sample_counts(MIXED, np.int64(100), list(range(15)))
         assert records.shots == (100,) * 15
 
-    def test_exact_record_matches_distribution(self):
+    def test_exact_record_is_the_expected_counts_at_default_shots(self):
         rho = to_density_matrix(bell_like_state())
         m = MeasurementSetting("X", "X")
         rec = exact_record(rho, m)
-        assert np.array_equal(rec.counts, outcome_row(rho, m))
+        assert rec.setting == m and rec.shots == DEFAULT_SHOTS
+        assert np.array_equal(rec.counts, DEFAULT_SHOTS * outcome_row(rho, m))
         assert rec.counts.dtype == np.float64
         assert expectation(rec) == pytest.approx(1.0, abs=1e-12)
 
@@ -387,16 +409,19 @@ class TestSampleCounts:
             ([math.nan, 50, 25, 25], "finite"),
             ([math.inf, 50, 25, 25], "finite"),
             ([-1, 51, 25, 25], "non-negative"),
-            ([50, 25, 25], r"\(4,\) array"),
-            ([50, 25, 25, 1], "sum to"),
+            ([50, 25, 25], "shape"),
+            ([50, 25, 25, 1], "setting XZ sum to 101"),
         ],
         ids=["nan", "inf", "negative", "three-outcomes", "wrong-sum"],
     )
     def test_count_record_rejects_bad_counts(self, counts, message):
         # A NaN count once passed (NaN < 0 and |NaN - shots| > tol are both
         # false) and crashed the MLE's eigensolver downstream.
+        recs = list(map(CountRecord, NONTRIVIAL_SETTINGS, valid_counts(), (100,) * 15))
+        k = NONTRIVIAL_SETTINGS.index(MeasurementSetting("X", "Z"))
+        recs[k] = CountRecord(recs[k].setting, np.array(counts, dtype=float), 100)
         with pytest.raises(ValueError, match=message):
-            CountRecord(MeasurementSetting("X", "Z"), np.array(counts, dtype=float), 100)
+            mle_reconstruct(recs)
 
 
 def valid_counts():
@@ -430,6 +455,20 @@ class TestRecordSet:
         shots = (100,) * 7 + (bad,) + (100,) * 7
         with pytest.raises(ValueError, match="shots must be an integer >= 1"):
             RecordSet(valid_counts(), shots)
+
+    @pytest.mark.parametrize("shots", [100, None, 100.0])
+    def test_rejects_shots_that_are_not_a_sequence(self, shots):
+        # An int once raised TypeError: 'int' object is not iterable.
+        with pytest.raises(ValueError, match="shots must hold each nontrivial setting's shots"):
+            RecordSet(valid_counts(), shots)
+
+    @pytest.mark.parametrize(
+        "records", [[1, 2, 3], None, 42, "records"], ids=["ints", "none", "int", "str"]
+    )
+    def test_rejects_records_of_the_wrong_type(self, records):
+        # A list of ints once raised AttributeError and None TypeError.
+        with pytest.raises(ValueError, match="records must be a RecordSet or CountRecords"):
+            mle_reconstruct(records)
 
     def test_needs_the_shots_of_each_setting(self):
         with pytest.raises(ValueError, match="shots of each nontrivial setting"):
@@ -692,8 +731,15 @@ class TestCertifiedStop:
         mle_reconstruct(recs)
         assert thresholds == [1e-8]
 
-    def test_integer_counts_at_one_shot_are_sampled(self, thresholds):
-        recs = sampled_records(to_density_matrix(bell_like_state()), 1, 3)
+    @pytest.mark.parametrize("kind", ["one-shot", "fractional"])
+    def test_every_record_set_stops_at_tol_over_its_shots(self, kind, thresholds):
+        # Fractional counts once read tol at the defaults' 1.5e6 counts,
+        # whatever their shots; no record set is told apart by its counts.
+        rho = to_density_matrix(bell_like_state())
+        if kind == "one-shot":
+            recs = sampled_records(rho, 1, 3)
+        else:
+            recs = RecordSet(_outcome_table(rho), (1,) * 15)
         mle_reconstruct(recs, max_iter=3)
         assert thresholds == [0.015 / 15]
 
@@ -732,15 +778,16 @@ class TestCertifiedStop:
         assert result.iterations == 60 and not result.converged
 
     @pytest.mark.parametrize("scale, converged", [(2.0, True), (0.5, False)])
-    def test_converged_only_where_the_stop_is_resolvable(self, scale, converged, monkeypatch):
+    def test_converged_only_where_the_stop_is_resolvable(self, scale, converged):
         # A per-count stop below _ULP_SLACK is finer than the certificate
-        # lambda_max(R) / Tr(R rho) - 1 resolves, so a kernel that certifies
-        # there has met roundoff, not the stop.
-        loop = _kernels.mle_loop
-        monkeypatch.setattr(_kernels, "mle_loop", lambda *args: (*loop(*args)[:3], 0.0, True))
-        recs = sampled_records(to_density_matrix(bell_like_state()), 4000, 16)
-        result = mle_reconstruct(recs, max_iter=3, tol=scale * _ULP_SLACK * 15 * 4000)
-        assert result.converged == converged
+        # lambda_max(R) / Tr(R rho) - 1 resolves, so a gap that reads below
+        # it has met roundoff, not the stop: the kernel stops but does not
+        # report converged.  ``converged`` is a bool, not numpy's, so that
+        # the JSON report can hold it.
+        recs = sampled_records(to_density_matrix(bell_like_state()), MAX_SHOTS, 18)
+        *_, gap, ok = kernel_run(recs, 2000, scale * _ULP_SLACK)
+        assert gap < scale * _ULP_SLACK
+        assert type(ok) is bool and ok == converged
 
     def test_max_shots_never_certifies(self):
         # N = 15 (2^63 - 1): tol / N ~ 1.1e-22.  The kernel still stops
