@@ -1,19 +1,18 @@
 """Hot inner loop of the likelihood-maximizing reconstruction.
 
-The iteration is the diluted R rho R fixed point (Rehacek, Hradil, Knill &
-Lvovsky, PRA 75, 042108, 2007), run on a factor t of the state,
+The iteration is the R rho R fixed point (Rehacek, Hradil, Knill & Lvovsky,
+PRA 75, 042108, 2007), run on a factor t of the state,
 rho = t t^H / Tr(t t^H).  The reweighting operator R, built from observed
-frequencies, is Hermitian, so the full step t -> R t gives R rho R and the
-diluted step t -> (I + eps R) t gives (I + eps R) rho (I + eps R): each step
-is the same sandwich update, and rho is positive semidefinite by
-construction.  A plain step takes the full step when it does not lower the
-likelihood and falls back to a diluted one otherwise.
+frequencies, is Hermitian, so the plain step t -> R t gives R rho R, and rho
+is positive semidefinite by construction.  No step is required to raise the
+likelihood: what the loop vouches for is the certificate below, not a
+monotone path.
 
 The fixed point converges slowly toward the rank-deficient optima of nearly
 pure states, so the loop runs SQUAREM cycles (Varadhan & Roland, Scand. J.
 Stat. 35, 335, 2008): two plain steps t -> t1 -> t2, an extrapolation
 x = t - 2 a r + a^2 v with r = t1 - t, v = t2 - 2 t1 + t and
-a = min(-|r| / |v|, -1), and one full step from x, kept only when its
+a = min(-|r| / |v|, -1), and one plain step from x, kept only when its
 likelihood is not below that of t2.  R rho R shrinks the vanishing
 eigenvalues of such optima only geometrically, so a cycle with four map
 applications left opens with one projected-gradient step (Shang, Zhang & Ng,
@@ -21,8 +20,7 @@ PRA 95, 062336, 2017): rho + eta R / Tr(R rho) with its eigenvalues projected
 onto the unit simplex (Duchi et al., ICML 2008), which zeroes the small ones.
 No other step brings a zeroed direction back, so the step is kept only when
 it raises the likelihood and R at its state favours no zeroed direction;
-eta starts at 1, doubles on a kept step and halves otherwise.  Every
-accepted state is therefore no worse than the one before it.
+eta starts at 1, doubles on a kept step and halves otherwise.
 
 The log-likelihood ll(rho) = sum_k n_k log p_k is concave, so every iterate
 carries the bound ll* - ll <= lambda_max(G) - Tr(G rho), where
@@ -64,8 +62,6 @@ import numpy as np
 
 # Model probabilities are floored here before dividing or taking logs.
 P_FLOOR = 1e-12
-# Dilution retreats by halving eps from 0.5 down to this before giving up.
-EPS_MIN = 1e-8
 # Weight of I / n mixed into the projected linear-inversion start, so that
 # no direction starts at zero, where only a projected step could revive it
 # (map applications on the 14 `sweep` inputs: 280 at 0, 256 at 1e-4).
@@ -78,10 +74,10 @@ ETA_MAX = 2.0**20
 DUAL_GATE = 1e3
 # An eigenvector of G carrying more of rho than this is in rho's support.
 SUPPORT = 1e-4
-# Steps whose likelihood change is within this many ulps of the current
-# log-likelihood count as non-decreasing: near convergence the true (always
-# non-negative) gain of a full step drops below what float64 can resolve,
-# and rejecting such steps would freeze the state short of the optimum.
+# An extrapolated step whose likelihood is within this many ulps of the plain
+# step's counts as no worse: near convergence the true difference drops below
+# what float64 can resolve.  A per-count stop below it is finer than the
+# certificate resolves.
 _ULP_SLACK = 16.0 * 2.220446049250313e-16
 
 
@@ -147,9 +143,8 @@ def mle_loop(model, counts, freqs, max_iter: int, tol: float):
     DUAL_GATE * tol`` the lower dual bound replaces it (an ``eigh``, a
     16 x 16 solve and an ``eigvalsh`` at n = 4); the loop stops when
     ``gap < tol``.  ``gap`` is returned for the returned state and
-    ``converged``, a bool, is ``gap < tol`` with ``tol >= _ULP_SLACK``,
-    also when the loop ends because no step short of ``EPS_MIN`` dilution
-    keeps the likelihood; ``tol = 0.0`` runs the whole budget.
+    ``converged``, a bool, is ``gap < tol`` with ``tol >= _ULP_SLACK``;
+    ``tol = 0.0`` runs the whole budget.
     """
     rows, inverse, coords, index = model
     counts = np.ascontiguousarray(counts, dtype=np.float64)
@@ -196,22 +191,8 @@ def mle_loop(model, counts, freqs, max_iter: int, tol: float):
         lam = np.linalg.eigvalsh((w @ rows).view(np.complex128).reshape(n, n))[-1]
         return max(min(gap, float(lam - freqs[seen] @ np.log1p(x)) / total - 1.0), 0.0)
 
-    def plain_step(cur, rt):
-        # Full step t -> R t if it keeps the likelihood, else the largest
-        # diluted one that does; None when no step does.
-        t, _, _, ll = cur
-        slack = _ULP_SLACK * (1.0 + abs(ll))
-        cand = point(rt)
-        eps = 0.5
-        while cand[3] < ll - slack:
-            if eps < EPS_MIN:
-                return None
-            cand = point(t + eps * rt)
-            eps *= 0.5
-        return cand
-
     def extrapolated(t, t1, t2):
-        # One full step from the SQUAREM point of the plain path t -> t1 -> t2.
+        # One plain step from the SQUAREM point of the plain path t -> t1 -> t2.
         r = t1 - t
         v = t2 - t1 - r
         norm_v = math.sqrt(np.vdot(v, v).real)
@@ -249,21 +230,13 @@ def mle_loop(model, counts, freqs, max_iter: int, tol: float):
                 if not nul.size or np.linalg.eigvalsh(nul)[-1] <= np.vdot(cand[0], rt1).real:
                     cur, r, rt, eta = cand, r1, rt1, min(4.0 * eta, ETA_MAX)
         full_cycle = max_iter - iterations >= 3
-        t1 = plain_step(cur, rt)
+        t1 = point(rt)
         iterations += 1
-        if t1 is None:
-            gap = certificate(r, cur, rt)
-            break
         if not full_cycle:
             cur = t1
             continue
-        r = reweighting(t1[2])
-        rt = r @ t1[0]
-        t2 = plain_step(t1, rt)
+        t2 = point(reweighting(t1[2]) @ t1[0])
         iterations += 1
-        if t2 is None:
-            cur, gap = t1, certificate(r, t1, rt)
-            break
         cand = extrapolated(cur[0], t1[0], t2[0])
         iterations += 1
         cur = cand if cand[3] >= t2[3] - _ULP_SLACK * (1.0 + abs(t2[3])) else t2

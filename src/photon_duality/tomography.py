@@ -6,8 +6,8 @@ the 15 settings other than (I, I) are informationally complete.  Each shot
 yields a joint eigenvalue outcome in {+1, -1}^2, sampled from the exact
 four-outcome distribution of the commuting pair's eigenprojectors.  For an
 identity operator the -1 outcomes carry zero projectors, so their
-probability is exactly zero and the empirical expectation reduces to the
-marginal of the other qubit.
+probability is exactly zero, the empirical expectation reduces to the
+marginal of the other qubit, and a record set with counts there is rejected.
 
 Counts are held one way: a ``RecordSet``, one read-only (15, 4) array in
 ``NONTRIVIAL_SETTINGS`` x ``OUTCOMES`` order with each setting's shots.
@@ -32,7 +32,7 @@ record carries the expected counts of a ``DEFAULT_SHOTS`` run.
 
 from __future__ import annotations
 
-import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
@@ -135,7 +135,9 @@ class RecordSet:
     read-only (15, 4) array, row k the setting ``NONTRIVIAL_SETTINGS[k]`` and
     columns ordered as ``OUTCOMES``, and ``shots`` holds each setting's shots,
     which its row sums to.  Counts are finite and non-negative; they need not
-    be integers."""
+    be integers.  No state produces an outcome whose projector is zero (the
+    -1 outcomes of an identity factor, 12 slots), so a nonzero count there
+    raises."""
 
     counts: np.ndarray
     shots: tuple[int, ...]
@@ -155,6 +157,10 @@ class RecordSet:
             raise ValueError("counts must be finite")
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")
+        k, j = np.nonzero(~_projector_stack().any(axis=(1, 2)).reshape(shape) & (counts != 0))
+        if k.size:
+            m, o = NONTRIVIAL_SETTINGS[k[0]].label(), OUTCOMES[j[0]]
+            raise ValueError(f"setting {m} has counts in outcome {o}, whose projector is zero")
         expected = np.array(shots, dtype=np.float64)
         off = np.flatnonzero(np.abs(totals - expected) > 1e-9 * expected)
         if off.size:
@@ -178,12 +184,17 @@ class RecordSet:
 def sample_counts(rho: DensityMatrix, shots: int, seeds) -> RecordSet:
     """The record set of ``NONTRIVIAL_SETTINGS``: row k is a multinomial draw
     of ``shots`` from setting k's exact outcome distribution, made by the
-    generator of ``seeds[k]``; seed-deterministic."""
+    generator of ``seeds[k]``, a sequence of 15; seed-deterministic."""
     shots = _check_count(shots, "shots", 1)
-    if len(seeds) != len(NONTRIVIAL_SETTINGS):
-        raise ValueError(f"need one seed per nontrivial setting (15), got {len(seeds)}")
+    if np.ndim(seeds) != 1 or len(seeds) != len(NONTRIVIAL_SETTINGS):
+        raise ValueError(f"seeds must hold one seed per nontrivial setting (15), got {seeds!r:.80}")
     table = _outcome_table(rho)
-    counts = np.stack([make_rng(seed).multinomial(shots, p) for seed, p in zip(seeds, table)])
+    # Drawn over the outcomes of nonzero p only: numpy's sequential binomials
+    # can leave a remainder in a trailing p = 0 (824 at 2^63 - 1 shots).
+    ok = table > 0.0
+    draws = [make_rng(seed).multinomial(shots, p[m]) for seed, p, m in zip(seeds, table, ok)]
+    counts = np.zeros(table.shape, dtype=np.int64)
+    counts[ok] = np.concatenate(draws)
     return RecordSet(counts, (shots,) * len(NONTRIVIAL_SETTINGS))
 
 
@@ -222,10 +233,12 @@ def _collect(records) -> RecordSet:
         return records
     by_setting: dict[MeasurementSetting, CountRecord] = {}
     for rec in records if isinstance(records, Iterable) else [records]:
-        if not isinstance(rec, CountRecord):
+        if not (isinstance(rec, CountRecord) and isinstance(rec.setting, MeasurementSetting)):
             raise ValueError(f"records must be a RecordSet or CountRecords, got {rec!r}")
         if rec.setting in by_setting:
             raise ValueError(f"duplicate records for setting {rec.setting.label()}")
+        if np.shape(rec.counts) != (len(OUTCOMES),):
+            raise ValueError(f"counts of setting {rec.setting.label()} must have shape (4,)")
         by_setting[rec.setting] = rec
     missing = [m.label() for m in NONTRIVIAL_SETTINGS if m not in by_setting]
     extra = [m.label() for m in by_setting if m not in NONTRIVIAL_SETTINGS]
@@ -249,8 +262,8 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> Tomogr
     ``records`` is a ``RecordSet`` or the 15 ``CountRecord``s of the
     nontrivial settings in any order.  ``_kernels.mle_loop`` iterates on a
     factor t of rho = t t^H from the projected linear-inversion state, so
-    every iterate is positive semidefinite, and takes no step that lowers
-    the likelihood (SQUAREM cycles, each opened by a projected-gradient step).
+    every iterate is positive semidefinite (SQUAREM cycles, each opened by a
+    projected-gradient step); the result rests on its certificate, ``gap``.
     ``iterations`` counts applications of the update map, extrapolated and
     projected ones included; ``max_iter`` bounds it and must be an integer
     >= 0 (a bool, float, NaN or inf raises ``ValueError``).
@@ -268,11 +281,11 @@ def mle_reconstruct(records, max_iter: int = 2000, tol: float = 0.015) -> Tomogr
     stays per count.  A stop ``tol / N`` below ~3.6e-15 (N above ~4e12 at
     the default) is finer than the kernel's certificate resolves, so the
     run stops there but never reports ``converged``.
-    ``tol = 0.0`` runs the whole budget; a negative or non-finite ``tol``
-    raises ``ValueError``.  Non-convergence is reported, never raised.
+    ``tol = 0.0`` runs the whole budget; a ``tol`` that is not a finite real
+    >= 0 raises ``ValueError``.  Non-convergence is reported, never raised.
     """
     _check_count(max_iter, "max_iter", 0)
-    if not (math.isfinite(tol) and tol >= 0.0):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < float("inf")):
         raise ValueError(f"tol must be a finite number of nats >= 0, got {tol!r}")
     rs = _collect(records)
     rho_mat, iterations, ll, gap, converged = _kernels.mle_loop(

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from photon_duality import (
     vdc_triple,
 )
 from photon_duality import _kernels
-from photon_duality._kernels import _ULP_SLACK, EPS_MIN, P_FLOOR
+from photon_duality._kernels import _ULP_SLACK, P_FLOOR
 from photon_duality.pipeline import STAGE_TOMOGRAPHY
 from photon_duality.scenarios import DEFAULT_SHOTS, MAX_SHOTS, default_scenarios, reseed
 from photon_duality.seeding import make_rng
@@ -45,6 +46,16 @@ TRIVIAL = MeasurementSetting("I", "I")
 MIXED = DensityMatrix(np.eye(4, dtype=complex) / 4)
 # Eigenvalue s * t of sigma_path (x) sigma_internal on each outcome.
 SIGNS = np.array([s * t for s, t in OUTCOMES], dtype=np.float64)
+# (15, 4): the outcomes some state produces.  An identity factor has no -1
+# outcome, so 12 slots are out: 2 in each of IX, IY, IZ, XI, YI and ZI.
+POSSIBLE = np.array(
+    [[(m.path_op != "I" or s > 0) and (m.internal_op != "I" or t > 0) for s, t in OUTCOMES]
+     for m in NONTRIVIAL_SETTINGS]
+)
+IMPOSSIBLE = [
+    (m.label(), o) for m, row in zip(NONTRIVIAL_SETTINGS, POSSIBLE)
+    for o, ok in zip(OUTCOMES, row) if not ok
+]
 
 
 def pauli_operator(m):
@@ -65,10 +76,15 @@ def bell_like_state():
     return TwoPathState(HALF, HALF, [1, 0], [0, 1])
 
 
-# Test-only oracle: the plain R rho R iteration in the einsum form that the
+# The oracle's dilution retreats by halving eps from 0.5 down to this.
+EPS_MIN = 1e-8
+
+
+# Test-only oracle: the diluted R rho R iteration in the einsum form that the
 # GEMV kernel replaced, kept verbatim (no factor form, no extrapolation),
 # with the arrays it was fed (projectors rebuilt per setting, masked
-# log-likelihood).
+# log-likelihood).  Unlike the kernel, it still falls back to a diluted step
+# (I + eps R) rho (I + eps R) when the full one lowers the likelihood.
 def _mle_loop_numpy(projs, counts, freqs, rho0, max_iter, tol):
     eye = np.eye(rho0.shape[0], dtype=np.complex128)
     mask = counts > 0.0
@@ -250,6 +266,10 @@ class TestSettings:
             )
             np.testing.assert_allclose(rebuilt, pauli_operator(m), atol=1e-14)
 
+    def test_exactly_the_twelve_impossible_outcomes_have_zero_projectors(self):
+        zero = [[not proj.any() for proj in m.outcome_projectors()] for m in NONTRIVIAL_SETTINGS]
+        assert np.array_equal(zero, ~POSSIBLE) and len(IMPOSSIBLE) == 12
+
 
 class TestPauliExpectation:
     """A Pauli expectation is the sign-weighted outcome distribution."""
@@ -318,6 +338,16 @@ class TestSampleCounts:
         assert counts[OUTCOMES.index((1, -1))] == 0
         assert counts[OUTCOMES.index((-1, -1))] == 0
 
+    def test_no_count_lands_where_p_is_zero_at_max_shots(self):
+        # Drawn over all four outcomes, numpy's sequential binomials left 824
+        # of 2^63 - 1 shots in IZ's (-1, -1), whose projector is zero.
+        sc = next(sc for sc in reseed(default_scenarios(), 42) if sc.name == "default-arc-g0.92")
+        rho = to_density_matrix(sc.state)
+        seeds = [derive_seed(sc.seed, STAGE_TOMOGRAPHY, k) for k in range(15)]
+        counts = sample_counts(rho, MAX_SHOTS, seeds).counts
+        assert not counts[_outcome_table(rho) == 0.0].any()
+        assert np.all(counts.sum(axis=1) == MAX_SHOTS)
+
     def test_empirical_expectation_near_exact(self):
         rho = to_density_matrix(random_two_path_state(np.random.default_rng(41)))
         shots = 100_000
@@ -363,9 +393,13 @@ class TestSampleCounts:
         for counts in sampled_records(MIXED, 100_000, 9).counts:
             assert abs(float(counts @ SIGNS) / 100_000) < 5 / math.sqrt(100_000)
 
-    def test_one_seed_per_setting_required(self):
-        with pytest.raises(ValueError, match="one seed per nontrivial setting"):
-            sample_counts(MIXED, 100, list(range(14)))
+    @pytest.mark.parametrize(
+        "seeds", [list(range(14)), None, 7, iter(range(15))], ids=["14", "none", "int", "iterator"]
+    )
+    def test_one_seed_per_setting_required(self, seeds):
+        # None, an int or an iterator once raised TypeError from len().
+        with pytest.raises(ValueError, match="seeds must hold one seed per nontrivial setting"):
+            sample_counts(MIXED, 100, seeds)
 
     def test_out_of_range_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be in"):
@@ -409,14 +443,15 @@ class TestSampleCounts:
             ([math.nan, 50, 25, 25], "finite"),
             ([math.inf, 50, 25, 25], "finite"),
             ([-1, 51, 25, 25], "non-negative"),
-            ([50, 25, 25], "shape"),
+            ([50, 25, 25], r"setting XZ must have shape \(4,\)"),
             ([50, 25, 25, 1], "setting XZ sum to 101"),
         ],
         ids=["nan", "inf", "negative", "three-outcomes", "wrong-sum"],
     )
     def test_count_record_rejects_bad_counts(self, counts, message):
         # A NaN count once passed (NaN < 0 and |NaN - shots| > tol are both
-        # false) and crashed the MLE's eigensolver downstream.
+        # false) and crashed the MLE's eigensolver downstream; three outcomes
+        # once met numpy's bare "same shape" error, naming no setting.
         recs = list(map(CountRecord, NONTRIVIAL_SETTINGS, valid_counts(), (100,) * 15))
         k = NONTRIVIAL_SETTINGS.index(MeasurementSetting("X", "Z"))
         recs[k] = CountRecord(recs[k].setting, np.array(counts, dtype=float), 100)
@@ -425,7 +460,10 @@ class TestSampleCounts:
 
 
 def valid_counts():
-    return np.tile([50, 25, 25, 0], (15, 1))
+    """100 shots a setting, none in a slot that no state produces."""
+    counts = np.where(POSSIBLE, [50, 25, 25, 0], 0)
+    counts[:, 0] += 100 - counts.sum(axis=1)
+    return counts
 
 
 class TestRecordSet:
@@ -463,12 +501,29 @@ class TestRecordSet:
             RecordSet(valid_counts(), shots)
 
     @pytest.mark.parametrize(
-        "records", [[1, 2, 3], None, 42, "records"], ids=["ints", "none", "int", "str"]
+        "records",
+        [[1, 2, 3], None, 42, "records", [CountRecord("XY", np.ones(4), 4)]],
+        ids=["ints", "none", "int", "str", "str-setting"],
     )
     def test_rejects_records_of_the_wrong_type(self, records):
-        # A list of ints once raised AttributeError and None TypeError.
+        # A list of ints, or a record whose setting is a label, once raised
+        # AttributeError, and None TypeError.
         with pytest.raises(ValueError, match="records must be a RecordSet or CountRecords"):
             mle_reconstruct(records)
+
+    @pytest.mark.parametrize("label, outcome", IMPOSSIBLE, ids=[f"{m}{o}" for m, o in IMPOSSIBLE])
+    def test_rejects_a_count_that_no_state_produces(self, label, outcome):
+        # Such counts once reached the MLE, which certified a log-likelihood
+        # that only the probability floor made finite.
+        k = [m.label() for m in NONTRIVIAL_SETTINGS].index(label)
+        counts = valid_counts().astype(float)
+        counts[k, OUTCOMES.index(outcome)] = 0.0
+        RecordSet(counts, (100,) * 15)  # a zero there is accepted
+        counts[k, 0] -= 0.5
+        counts[k, OUTCOMES.index(outcome)] = 0.5
+        message = re.escape(f"setting {label} has counts in outcome {outcome}, whose projector is zero")
+        with pytest.raises(ValueError, match=message):
+            RecordSet(counts, (100,) * 15)
 
     def test_needs_the_shots_of_each_setting(self):
         with pytest.raises(ValueError, match="shots of each nontrivial setting"):
@@ -478,7 +533,7 @@ class TestRecordSet:
         counts = valid_counts()
         rs = RecordSet(counts, (100,) * 15)
         counts[0, 0] = 0
-        assert rs.counts[0, 0] == 50
+        assert rs.counts[0, 0] == valid_counts()[0, 0]
         assert not rs.counts.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             rs.counts[0, 0] = 1
@@ -546,8 +601,10 @@ class TestMLE:
             assert np.trace(result.rho_hat.matrix).real == pytest.approx(1.0, abs=1e-10)
 
     def test_likelihood_monotone_in_iteration_budget(self):
-        # Deterministic iteration: the best likelihood after k steps never
-        # drops as k grows (beyond float resolution of the likelihood).
+        # An observed property of this input, not a guarantee: no step of
+        # the kernel is required to raise the likelihood (what a run vouches
+        # for is its certificate), but here the likelihood after k map
+        # applications never drops as k grows (beyond float resolution).
         recs = sampled_records(to_density_matrix(bell_like_state()), 20_000, 12)
         lls = [
             mle_reconstruct(recs, max_iter=k, tol=0.0).log_likelihood
@@ -797,8 +854,11 @@ class TestCertifiedStop:
         assert not result.converged
         assert result.gap < 0.015 / total_shots(recs) and result.iterations < 2000
 
-    @pytest.mark.parametrize("tol", [-1e-8, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "tol", [-1e-8, -1.0, math.nan, math.inf, -math.inf, None, "0.1", True, 1e-3j]
+    )
     def test_tol_outside_the_nats_range_is_rejected(self, tol):
+        # None and "0.1" once raised TypeError, and True ran as 1 nat.
         recs = sampled_records(to_density_matrix(bell_like_state()), 4000, 16)
         with pytest.raises(ValueError, match="tol"):
             mle_reconstruct(recs, tol=tol)
@@ -903,6 +963,23 @@ def sweep_input(d, shots):
     return sample_counts(rho, shots, [derive_seed(seed, STAGE_TOMOGRAPHY, k) for k in range(15)])
 
 
+def sparse_records(seed):
+    """A record set at 1-1000 shots a setting, each setting's counts drawn
+    over its possible outcomes from a Dirichlet(0.1) distribution: mostly no
+    state's, with many zero counts."""
+    rng = np.random.default_rng([2026, seed])
+    shots = int(rng.integers(1, 1001))
+    counts = np.zeros((15, 4), dtype=np.int64)
+    for row, ok in zip(counts, POSSIBLE):
+        row[ok] = rng.multinomial(shots, rng.dirichlet(np.full(ok.sum(), 0.1)))
+    return RecordSet(counts, (shots,) * 15)
+
+
+# The seeds below 3000 on which a full R rho R step lowered the likelihood,
+# where the kernel once fell back to a diluted step (none at Dirichlet(1)).
+SPARSE_SEEDS = [376, 655, 660, 790, 973, 1203, 1282, 1311, 1646, 1797, 1890, 2312, 2355, 2468]
+
+
 class TestDualCertificate:
     """``gap`` may come from the Lagrange-dual bound; it must still bound the
     shortfall to the optimum."""
@@ -970,6 +1047,20 @@ class TestDualCertificate:
         assert result.gap < certified_gap(result.rho_hat.matrix, recs) * (1.0 - 1e-6)
         slack = _ULP_SLACK * (1.0 + abs(ll))
         assert ll - result.log_likelihood <= result.gap * total_shots(recs) + slack
+
+    @pytest.mark.parametrize("seed", SPARSE_SEEDS)
+    def test_steps_that_lower_the_likelihood_still_certify(self, seed):
+        # The kernel takes every plain step as it comes; the certificate
+        # alone vouches for the result.  It must still bound the shortfall
+        # to a 600-application run at tol = 0 that is itself certified.
+        recs = sparse_records(seed)
+        total = total_shots(recs)
+        result = mle_reconstruct(recs)
+        ref = mle_reconstruct(recs, max_iter=600, tol=0.0)
+        assert result.converged
+        assert certified_gap(ref.rho_hat.matrix, recs) * total < ORACLE_SHORTFALL
+        slack = _ULP_SLACK * (1.0 + abs(ref.log_likelihood))
+        assert ref.log_likelihood - result.log_likelihood <= result.gap * total + slack
 
     @pytest.mark.parametrize("seed", [30, 54, 195])
     def test_a_singular_dual_system_falls_back_to_the_gradient_bound(self, seed):
