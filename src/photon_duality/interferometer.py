@@ -18,9 +18,9 @@ grid's design.  Arm blocking needs no model here: blocking one arm leaves
 the other arm's path probability |c|^2.
 
 Each phase grid's constants (the grid, e^{i phi}, the fit design and its
-pseudo-inverse, ~72 B a point) are built once and kept read-only in a small
-cache keyed by the grid's bytes, so scans of one grid share them;
-``phase_grid(n)`` returns one shared array.
+pseudo-inverse, ~72 B a point) are built and its order is checked once, in a
+small read-only cache keyed by the grid's bytes; every scan of a grid holds
+the grid's one shared phase array, which ``phase_grid(n)`` returns.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ class _Grid(NamedTuple):
     factors: np.ndarray  # e^{i phi}
     design: np.ndarray  # columns 1, cos phi, sin phi
     solve: np.ndarray | None  # pseudo-inverse of design; None if it is rank-deficient
+    increasing: bool  # every phase above the one before it
 
 
 @functools.lru_cache(maxsize=_GRIDS_KEPT)
@@ -66,33 +67,33 @@ def _grid(key: bytes) -> _Grid:
         solve.setflags(write=False)
     factors.setflags(write=False)
     design.setflags(write=False)
-    return _Grid(phases, factors, design, solve)
-
-
-def _constants(phases) -> _Grid:
-    phases = np.asarray(phases, dtype=np.float64)
-    if phases.ndim != 1:
-        raise ValueError(f"phases must be a 1-D array, got shape {phases.shape}")
-    return _grid(phases.tobytes())
+    return _Grid(phases, factors, design, solve, bool((phases[1:] > phases[:-1]).all()))
 
 
 @functools.lru_cache(maxsize=_GRIDS_KEPT)
-def _uniform_grid(n: int) -> np.ndarray:
-    return _grid(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False).tobytes()).phases
+def _uniform_grid(n: int) -> bytes:
+    return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False).tobytes()
 
 
 def phase_grid(n: int = DEFAULT_PHASE_POINTS) -> np.ndarray:
-    """Uniform grid of n phases on [0, 2*pi), endpoint excluded; n is an int.
+    """Uniform grid of n phases on [0, 2*pi), endpoint excluded; n is an int
+    in [``MIN_PHASE_POINTS``, ``MAX_PHASE_POINTS``].
 
-    Every call with the same n returns one shared, read-only array.
+    Every call with the same n returns one shared, read-only array, the
+    phases that scans of the grid hold.
     """
-    return _uniform_grid(_check_count(n, "n", MIN_PHASE_POINTS))
+    n = _check_count(n, "n", MIN_PHASE_POINTS)
+    if n > MAX_PHASE_POINTS:  # before anything is allocated
+        raise ValueError(f"n must be at most {MAX_PHASE_POINTS}, got {n}")
+    return _grid(_uniform_grid(n)).phases
 
 
 @dataclass(frozen=True, eq=False)
 class FringeScan:
     """Detection probability sampled (or evaluated exactly) over a phase grid.
 
+    ``phases`` is the grid's shared read-only array, whose strict increase
+    is checked once per grid; ``probabilities`` is a read-only copy.
     ``shots_per_point`` is an int: 0 for exact scans, >= 1 for Monte Carlo ones.
     """
 
@@ -101,22 +102,23 @@ class FringeScan:
     shots_per_point: int
 
     def __post_init__(self):
-        phases = np.array(self.phases, dtype=np.float64)
+        phases = np.asarray(self.phases, dtype=np.float64)
         probs = np.array(self.probabilities, dtype=np.float64)
         if phases.ndim != 1 or phases.shape != probs.shape:
             raise ValueError("phases and probabilities must be matching 1-D arrays")
         if phases.size < MIN_PHASE_POINTS:
             raise ValueError(f"a scan needs at least {MIN_PHASE_POINTS} points, got {phases.size}")
-        if not (np.isfinite(phases).all() and np.isfinite(probs).all()):
+        lo, hi = probs.min(), probs.max()  # NaN carries through both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("scan contains non-finite values")
-        if not (phases[1:] > phases[:-1]).all():
+        grid = _grid(phases.tobytes())  # raises on non-finite phases
+        if not grid.increasing:
             raise ValueError("phases must be strictly increasing")
-        if probs.min() < 0.0 or probs.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
         _check_count(self.shots_per_point, "shots_per_point", 0)
-        phases.setflags(write=False)
         probs.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "phases", grid.phases)
         object.__setattr__(self, "probabilities", probs)
 
     @property
@@ -127,9 +129,13 @@ class FringeScan:
 
 def detection_probabilities(s: TwoPathState, phases: np.ndarray) -> np.ndarray:
     """Exact "+"-port detection probabilities over a 1-D grid."""
-    factors = _constants(phases).factors
-    amps = factors[:, None] * s.c_a * s.phi_a[None, :] + s.c_b * s.phi_b[None, :]
-    return (0.5 * (np.abs(amps) ** 2).sum(axis=1)).clip(0.0, 1.0)
+    phases = np.asarray(phases, dtype=np.float64)
+    if phases.ndim != 1:
+        raise ValueError(f"phases must be a 1-D array, got shape {phases.shape}")
+    factors = _grid(phases.tobytes()).factors
+    amps = factors[:, None] * s.c_a * s.phi_a + s.c_b * s.phi_b
+    # >= 0 as a sum of squares; a state unit within NORM_ATOL can reach 1 + 8e-10.
+    return np.minimum(0.5 * (np.abs(amps) ** 2).sum(axis=1), 1.0)
 
 
 def fringe_scan(s: TwoPathState, phases: np.ndarray | None = None) -> FringeScan:
@@ -181,7 +187,7 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
         raise ValueError(
             f"scan spans {span:.4f} rad; need >= {MIN_SPAN:.4f} to fit a fringe"
         )
-    grid = _constants(scan.phases)
+    grid = _grid(scan.phases.tobytes())
     if grid.solve is None:
         raise ValueError("phase grid does not determine a fringe: its fit design is rank-deficient")
     coef = grid.solve @ scan.probabilities
@@ -190,7 +196,7 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
         raise ValueError("degenerate scan: fitted offset is ~0, no fringe to extract")
     amplitude = math.hypot(bc, bs)
     theta0 = math.atan2(-bs, bc)
-    residuals = scan.probabilities - grid.design @ coef
-    rmse = float(np.sqrt(np.mean(residuals**2)))
+    r = scan.probabilities - grid.design @ coef
+    rmse = math.sqrt(float(np.add.reduce(r * r)) / r.size)  # np.mean's pairwise sum
     v_hat = min(1.0, max(0.0, amplitude / a0))
     return FringeFit(v_hat=v_hat, theta0_hat=theta0, rmse=rmse)

@@ -44,9 +44,17 @@ def _clip01(x: float) -> float:
     return x if math.isnan(x) else min(1.0, max(0.0, x))
 
 
+def _visibility(s: TwoPathState, g: float) -> float:
+    return _clip01(2.0 * abs(s.c_a) * abs(s.c_b) * g)
+
+
+def _entanglement(s: TwoPathState, g: float) -> float:
+    return _clip01(2.0 * abs(s.c_a) * abs(s.c_b) * math.sqrt(max(0.0, 1.0 - g * g)))
+
+
 def visibility(s: TwoPathState) -> float:
     """Fringe contrast 2|c_a c_b gamma|."""
-    return _clip01(2.0 * abs(s.c_a) * abs(s.c_b) * abs(overlap(s)))
+    return _visibility(s, abs(overlap(s)))
 
 
 def distinguishability(s: TwoPathState) -> float:
@@ -59,15 +67,12 @@ def entanglement(s: TwoPathState) -> float:
 
     Agrees with the Schmidt-coefficient concurrence of the same state.
     """
-    g = abs(overlap(s))
-    return _clip01(2.0 * abs(s.c_a) * abs(s.c_b) * math.sqrt(max(0.0, 1.0 - g * g)))
+    return _entanglement(s, abs(overlap(s)))
 
 
 def vdc_triple(s: TwoPathState) -> DualityTriple:
-    """All three measures of one state, with the identity residual."""
-    return DualityTriple(
-        visibility=visibility(s),
-        distinguishability=distinguishability(s),
-        concurrence=entanglement(s),
-        gamma=overlap(s),
-    )
+    """All three measures of one state, with the identity residual; the
+    overlap is taken once and passed to the formulas that need |gamma|."""
+    gamma = overlap(s)
+    g = abs(gamma)
+    return DualityTriple(_visibility(s, g), distinguishability(s), _entanglement(s, g), gamma)

@@ -148,7 +148,7 @@ def coefficient_matrix(s: TwoPathState) -> np.ndarray:
     Flattening M row-major gives the joint state vector in the path-major
     tensor basis.
     """
-    return np.vstack([s.c_a * s.phi_a, s.c_b * s.phi_b])
+    return np.concatenate((s.c_a * s.phi_a, s.c_b * s.phi_b)).reshape(2, -1)
 
 
 def state_vector(s: TwoPathState) -> np.ndarray:
@@ -189,10 +189,11 @@ class DensityMatrix:
             raise ValueError(f"expected a 2d x 2d matrix with d >= 2, got {n} x {n}")
         if not np.all(np.isfinite(mat.view(np.float64))):
             raise ValueError("density matrix contains non-finite entries")
-        herm_err = np.max(np.abs(mat - mat.conj().T))
+        herm_err = np.abs(mat - mat.conj().T).max()
         if herm_err > MATRIX_ATOL:
             raise ValueError(f"density matrix not Hermitian (max deviation {herm_err:.3e})")
-        trace_err = abs(np.trace(mat).real - 1.0) + abs(np.trace(mat).imag)
+        trace = mat.trace()
+        trace_err = abs(trace.real - 1.0) + abs(trace.imag)
         if trace_err > MATRIX_ATOL:
             raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
         if float(np.linalg.eigvalsh(mat)[0]) < -PSD_ATOL:
@@ -206,7 +207,7 @@ def to_density_matrix(s: TwoPathState) -> DensityMatrix:
     by <psi|psi> where that is off 1 by more than ``MATRIX_ATOL`` (a state is
     unit only within ``NORM_ATOL``); bit-for-bit |psi><psi| otherwise."""
     psi = state_vector(s)
-    mat, norm = np.outer(psi, psi.conj()), np.vdot(psi, psi).real
+    mat, norm = psi[:, None] * psi.conj(), np.vdot(psi, psi).real
     return DensityMatrix(mat / norm if abs(norm - 1.0) > MATRIX_ATOL else mat)
 
 
@@ -231,7 +232,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
             f"Wootters concurrence needs a 4 x 4 matrix (d = 2), got {rho.matrix.shape}"
         )
     evals, vecs = np.linalg.eigh(rho.matrix)
-    factor = vecs * np.sqrt(np.clip(evals, 0.0, None))
+    factor = vecs * np.sqrt(np.maximum(evals, 0.0))
     roots = np.linalg.svd(factor.conj().T @ _YY @ factor.conj(), compute_uv=False)
     return min(1.0, max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3])))
 

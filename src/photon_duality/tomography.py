@@ -120,6 +120,14 @@ def _outcome_table(rho: DensityMatrix) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _shape(x) -> tuple[int, ...] | None:
+    """``np.shape(x)``, or None where ``x`` is ragged."""
+    try:
+        return np.shape(x)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        return None
+
+
 class CountRecord(NamedTuple):
     """Outcome counts for one measurement setting, ordered as ``OUTCOMES``,
     and the ``shots`` they sum to; checked when read into a ``RecordSet``."""
@@ -186,7 +194,7 @@ def sample_counts(rho: DensityMatrix, shots: int, seeds) -> RecordSet:
     of ``shots`` from setting k's exact outcome distribution, made by the
     generator of ``seeds[k]``, a sequence of 15; seed-deterministic."""
     shots = _check_count(shots, "shots", 1)
-    if np.ndim(seeds) != 1 or len(seeds) != len(NONTRIVIAL_SETTINGS):
+    if _shape(seeds) != (len(NONTRIVIAL_SETTINGS),):
         raise ValueError(f"seeds must hold one seed per nontrivial setting (15), got {seeds!r:.80}")
     table = _outcome_table(rho)
     # Drawn over the outcomes of nonzero p only: numpy's sequential binomials
@@ -237,7 +245,7 @@ def _collect(records) -> RecordSet:
             raise ValueError(f"records must be a RecordSet or CountRecords, got {rec!r}")
         if rec.setting in by_setting:
             raise ValueError(f"duplicate records for setting {rec.setting.label()}")
-        if np.shape(rec.counts) != (len(OUTCOMES),):
+        if _shape(rec.counts) != (len(OUTCOMES),):
             raise ValueError(f"counts of setting {rec.setting.label()} must have shape (4,)")
         by_setting[rec.setting] = rec
     missing = [m.label() for m in NONTRIVIAL_SETTINGS if m not in by_setting]

@@ -37,6 +37,12 @@ def test_output_matches_golden_bytes(case, fmt, capsys):
     assert _stdout(capsys, [*CASES[case], "--format", fmt]).encode() == expected
 
 
+def test_exact_fringes_match_golden_csv(capsys):
+    # The unsampled fringe path: the shared grid and its exact probabilities.
+    expected = (GOLDEN / "fringes_exact.csv").read_bytes()
+    assert _stdout(capsys, ["fringes", "--config", str(CONFIG), "--shots", "0"]).encode() == expected
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_out_file_matches_golden_bytes(fmt, tmp_path, capsys):
     out = tmp_path / f"triples.{fmt}"

@@ -186,6 +186,61 @@ class TestFringeScan:
         assert a.noisy and a.shots_per_point == 1000
 
 
+class TestScanContract:
+    """A scan holds its grid's shared read-only phases, checked once per
+    grid, and a read-only copy of the caller's probabilities."""
+
+    def test_default_scan_holds_the_shared_grid(self):
+        assert fringe_scan(state_with_overlap(HALF, HALF, 0.5)).phases is phase_grid()
+
+    def test_scan_of_a_copied_grid(self):
+        grid, probs = phase_grid(16).copy(), np.full(16, 0.5)
+        scan = FringeScan(grid, probs, shots_per_point=0)
+        assert np.array_equal(scan.phases, grid) and scan.phases is not grid
+        assert not scan.phases.flags.writeable and grid.flags.writeable
+        assert fringe_scan(state_with_overlap(HALF, HALF, 0.5), grid).phases is scan.phases
+        assert not scan.probabilities.flags.writeable and probs.flags.writeable
+        assert not np.shares_memory(scan.probabilities, probs)
+        probs[0] = 0.25
+        assert scan.probabilities[0] == 0.5
+
+    def test_order_is_checked_once_per_grid(self):
+        grid = phase_grid(16) + 0.2
+        FringeScan(grid, np.full(16, 0.5), shots_per_point=0)
+        misses = interferometer._grid.cache_info().misses
+        FringeScan(grid, np.full(16, 0.25), shots_per_point=0)
+        assert interferometer._grid.cache_info().misses == misses
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_probabilities_rejected(self, bad):
+        probs = np.full(16, 0.5)
+        probs[3] = bad
+        with pytest.raises(ValueError, match="^scan contains non-finite values$"):
+            FringeScan(phase_grid(16), probs, shots_per_point=0)
+
+    @pytest.mark.parametrize(
+        "order", [[1, 0, *range(2, 16)], [0, 0, *range(2, 16)]], ids=["swapped", "repeated"]
+    )
+    def test_phases_must_increase(self, order):
+        with pytest.raises(ValueError, match="^phases must be strictly increasing$"):
+            FringeScan(phase_grid(16)[order], np.full(16, 0.5), shots_per_point=0)
+
+    def test_unordered_grid_still_evaluates(self):
+        # The order is a scan's condition only; one-point grids are evaluated
+        # in TestDetectionProbability.
+        s, phases = random_two_path_state(np.random.default_rng(45), dim=3), [2.0, 1.0, 2.0]
+        assert np.array_equal(detection_probabilities(s, phases), reference_probabilities(s, phases))
+
+    def test_near_unit_norm_state_stays_a_probability(self):
+        # |c_a|^2 + |c_b|^2 = 1 + 8e-10 is unit within NORM_ATOL; at full
+        # constructive interference the raw sum is 1 + 8e-10.
+        c = math.sqrt(0.5) * (1 + 4e-10)
+        s = TwoPathState(c, c, [1, 0], [1, 0])
+        p = detection_probabilities(s, phase_grid(16))
+        assert p.max() == 1.0 and np.array_equal(p, reference_probabilities(s, phase_grid(16)))
+        assert fringe_scan(s).probabilities[0] == 1.0
+
+
 class TestPhaseGrid:
     @pytest.mark.parametrize("n", [64.0, 16.5, math.nan, True, "64", None])
     def test_point_count_must_be_an_int(self, n):
@@ -198,12 +253,24 @@ class TestPhaseGrid:
         with pytest.raises(ValueError, match="n must be an integer >= 8"):
             phase_grid(7)
 
+    @pytest.mark.parametrize(
+        "extra", [1, 2**31 - interferometer.MAX_PHASE_POINTS], ids=["max+1", "2**31"]
+    )
+    def test_too_many_points_rejected_before_any_allocation(self, extra):
+        n = interferometer.MAX_PHASE_POINTS + extra
+        built = interferometer._uniform_grid.cache_info().misses
+        with pytest.raises(ValueError, match=f"^n must be at most {n - extra}, got {n}$"):
+            phase_grid(n)
+        assert interferometer._uniform_grid.cache_info().misses == built
+
     def test_grid_is_shared_and_read_only(self):
         grid = phase_grid(16)
         assert phase_grid(16) is grid and phase_grid(np.int64(16)) is grid
         with pytest.raises(ValueError, match="read-only"):
             grid[0] = 1.0
-        assert not any(a.flags.writeable for a in interferometer._grid(grid.tobytes()))
+        fields = interferometer._grid(grid.tobytes())
+        arrays = [a for a in fields if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4 and not any(a.flags.writeable for a in arrays)
         np.testing.assert_array_equal(grid, np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
 
     def test_cache_is_bounded(self):
@@ -228,8 +295,9 @@ class TestPhaseGrid:
             detection_probabilities,
             fringe_scan,
             lambda s, phases: sample_fringe_scan(s, 100, np.random.default_rng(0), phases=phases),
+            lambda s, phases: FringeScan(phases, np.full(phases.size, 0.5), shots_per_point=0),
         ],
-        ids=["detection_probabilities", "fringe_scan", "sample_fringe_scan"],
+        ids=["detection_probabilities", "fringe_scan", "sample_fringe_scan", "FringeScan"],
     )
     def test_non_finite_phases_rejected_before_any_arithmetic(self, scan, where, bad):
         # No RuntimeWarning may escape: the grid is checked before exp, cos,
@@ -279,7 +347,7 @@ class TestCachedConstantsBitIdentical:
 
 class TestPseudoInverseFit:
     def test_pseudo_inverse_is_read_only(self):
-        solve = interferometer._constants(phase_grid(64)).solve
+        solve = interferometer._grid(phase_grid(64).tobytes()).solve
         assert solve.shape == (3, 64)
         with pytest.raises(ValueError, match="read-only"):
             solve[0, 0] = 1.0

@@ -394,10 +394,13 @@ class TestSampleCounts:
             assert abs(float(counts @ SIGNS) / 100_000) < 5 / math.sqrt(100_000)
 
     @pytest.mark.parametrize(
-        "seeds", [list(range(14)), None, 7, iter(range(15))], ids=["14", "none", "int", "iterator"]
+        "seeds",
+        [list(range(14)), None, 7, iter(range(15)), [[1], [1, 2]], [[1], [1, 2], *range(13)]],
+        ids=["14", "none", "int", "iterator", "ragged", "ragged-15"],
     )
     def test_one_seed_per_setting_required(self, seeds):
-        # None, an int or an iterator once raised TypeError from len().
+        # None, an int or an iterator once raised TypeError from len(), and a
+        # ragged list numpy's bare "inhomogeneous shape" ValueError.
         with pytest.raises(ValueError, match="seeds must hold one seed per nontrivial setting"):
             sample_counts(MIXED, 100, seeds)
 
@@ -456,6 +459,14 @@ class TestSampleCounts:
         k = NONTRIVIAL_SETTINGS.index(MeasurementSetting("X", "Z"))
         recs[k] = CountRecord(recs[k].setting, np.array(counts, dtype=float), 100)
         with pytest.raises(ValueError, match=message):
+            mle_reconstruct(recs)
+
+    def test_ragged_counts_rejected(self):
+        # numpy's bare "inhomogeneous shape" error once named no setting.
+        recs = list(map(CountRecord, NONTRIVIAL_SETTINGS, valid_counts(), (100,) * 15))
+        k = NONTRIVIAL_SETTINGS.index(MeasurementSetting("X", "Z"))
+        recs[k] = CountRecord(recs[k].setting, [[1], [1, 2]], 1)
+        with pytest.raises(ValueError, match=r"^counts of setting XZ must have shape \(4,\)$"):
             mle_reconstruct(recs)
 
 
