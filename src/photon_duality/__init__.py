@@ -31,7 +31,7 @@ from .scenarios import (
     load_scenarios,
     scenario_to_dict,
 )
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed, stream_rngs
 from .states import (
     DensityMatrix,
     TwoPathState,

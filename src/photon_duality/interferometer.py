@@ -56,6 +56,8 @@ class _Grid(NamedTuple):
 def _grid(key: bytes) -> _Grid:
     """Read-only constants of the float64 grid whose bytes are ``key``."""
     phases = np.frombuffer(key, dtype=np.float64)
+    if not phases.size:  # before the SVD, which has no smallest singular value to read
+        raise ValueError("phases must hold at least one point")
     if not np.isfinite(phases).all():  # before anything is computed from them
         raise ValueError(f"phases must be finite, got {float(phases[~np.isfinite(phases)][0])}")
     factors = np.exp(1j * phases)

@@ -9,9 +9,10 @@ For each scenario the pipeline runs the full simulated experiment:
 
 and assembles a report carrying both the measured-style triple
 (fringe V, blocking D, tomographic C) and the all-tomographic triple read
-off the reconstructed state.  Sub-seeds for the three stages (and for every
-tomography setting) are derived from the scenario seed, so scenarios and
-stages are independent, reorderable, and bit-reproducible.
+off the reconstructed state.  The streams of the three stages (the fringe
+scan, each blocked arm and every tomography setting) are derived from the
+scenario seed in one ``stream_rngs`` call, so scenarios and stages are
+independent, reorderable, and bit-reproducible.
 
 This module is also the one output path of every CLI command: a command
 hands ``emit_table`` its CSV columns, its rows and its JSON records, and
@@ -40,7 +41,7 @@ import numpy as np
 from .interferometer import FringeScan, fit_fringe, phase_grid, sample_fringe_scan
 from .metrics import DualityTriple, _clip01, vdc_triple
 from .scenarios import Scenario
-from .seeding import derive_seed, make_rng
+from .seeding import stream_rngs
 from .states import pure_state_fidelity, to_density_matrix
 from .tomography import NONTRIVIAL_SETTINGS, estimate_vdc_from_rho, mle_reconstruct, sample_counts
 
@@ -48,6 +49,9 @@ from .tomography import NONTRIVIAL_SETTINGS, estimate_vdc_from_rho, mle_reconstr
 STAGE_FRINGE = 0
 STAGE_BLOCKING = 1
 STAGE_TOMOGRAPHY = 2
+# A scenario's streams: its fringe scan, blocking arm A, then B, and each tomography setting.
+_STREAM_KEYS = ((STAGE_FRINGE,), (STAGE_BLOCKING, 0), (STAGE_BLOCKING, 1))
+_STREAM_KEYS += tuple((STAGE_TOMOGRAPHY, k) for k in range(len(NONTRIVIAL_SETTINGS)))
 
 # JSON pieces joined into one write: long tables stream, short ones write once.
 _WRITE_BATCH = 4096
@@ -112,18 +116,20 @@ def run_pipeline(sc: Scenario) -> RunReport:
         raise ValueError(f"scenario {sc.name!r}: pipeline tomography needs d = 2")
     analytic = vdc_triple(state)
     rho_true = to_density_matrix(state)
+    fringe_rng, block_a, block_b, *setting_rngs = stream_rngs(sc.seed, _STREAM_KEYS)
 
     # Fringe scan -> visibility.
-    fit = fit_fringe(sample_fringe(sc))
+    scan = sample_fringe_scan(state, sc.shots, fringe_rng, phases=phase_grid(sc.phase_points))
+    fit = fit_fringe(scan)
 
     # Arm blocking -> distinguishability.  Blocking A leaves arm B's photons.
-    p_b_hat = _surviving_fraction(abs(state.c_b) ** 2, sc.shots, sc.seed, 0)
-    p_a_hat = _surviving_fraction(abs(state.c_a) ** 2, sc.shots, sc.seed, 1)
+    # |c|^2 may pass 1 by up to NORM_ATOL, which binomial rejects.
+    p_b_hat = float(block_a.binomial(sc.shots, min(abs(state.c_b) ** 2, 1.0))) / sc.shots
+    p_a_hat = float(block_b.binomial(sc.shots, min(abs(state.c_a) ** 2, 1.0))) / sc.shots
     d_est = abs(p_a_hat - p_b_hat)
 
     # Tomography -> concurrence (plus the all-tomographic triple).
-    seeds = [derive_seed(sc.seed, STAGE_TOMOGRAPHY, k) for k in range(len(NONTRIVIAL_SETTINGS))]
-    tomo = mle_reconstruct(sample_counts(rho_true, sc.shots, seeds))
+    tomo = mle_reconstruct(sample_counts(rho_true, sc.shots, setting_rngs))
     tomographic = estimate_vdc_from_rho(tomo.rho_hat)
 
     estimated = DualityTriple(
@@ -150,14 +156,8 @@ def run_pipeline(sc: Scenario) -> RunReport:
 
 def sample_fringe(sc: Scenario) -> FringeScan:
     """The scenario's seeded Monte Carlo fringe scan (``shots`` per phase point)."""
-    rng = make_rng(derive_seed(sc.seed, STAGE_FRINGE))
+    (rng,) = stream_rngs(sc.seed, [(STAGE_FRINGE,)])
     return sample_fringe_scan(sc.state, sc.shots, rng, phases=phase_grid(sc.phase_points))
-
-
-def _surviving_fraction(p: float, shots: int, seed: int, arm_index: int) -> float:
-    # |c|^2 may pass 1 by up to NORM_ATOL, which binomial rejects.
-    rng = make_rng(derive_seed(seed, STAGE_BLOCKING, arm_index))
-    return float(rng.binomial(shots, min(p, 1.0))) / shots
 
 
 def _clamp_point(point) -> tuple[float, float, float]:

@@ -24,10 +24,10 @@ stack with rho: the (15, 4) outcome distributions, from which both count
 sampling and ``exact_record`` read their rows.
 
 One ``sample_counts`` call draws a whole record set, row k one multinomial
-from setting k's own seed, so counts are reproducible bit-for-bit from their
-seeds.  A list of per-setting ``CountRecord``s, as ``exact_record`` builds,
-is read into a record set, which is where its counts are checked; an exact
-record carries the expected counts of a ``DEFAULT_SHOTS`` run.
+from setting k's own generator, so counts are reproducible bit-for-bit from
+their seeds.  A list of per-setting ``CountRecord``s, as ``exact_record``
+builds, is read into a record set, which is where its counts are checked; an
+exact record carries the expected counts of a ``DEFAULT_SHOTS`` run.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import numpy as np
 from . import _kernels
 from .metrics import DualityTriple
 from .scenarios import DEFAULT_SHOTS
-from .seeding import make_rng
 from .states import DensityMatrix, _check_count, wootters_concurrence
 
 PAULI: dict[str, np.ndarray] = {
@@ -157,8 +156,8 @@ class RecordSet:
         if len(shots) != len(NONTRIVIAL_SETTINGS):
             raise ValueError(f"need the shots of each nontrivial setting (15), got {len(shots)}")
         shape = (len(NONTRIVIAL_SETTINGS), len(OUTCOMES))
-        counts = np.array(self.counts)
-        if counts.shape != shape or counts.dtype.kind not in "iuf":
+        counts = np.array(self.counts) if _shape(self.counts) == shape else None  # not ragged
+        if counts is None or counts.dtype.kind not in "iuf":
             raise ValueError(f"counts must be a numeric {shape} array in OUTCOMES order")
         totals = counts.sum(axis=1, dtype=np.float64)
         if not np.all(np.isfinite(totals)):  # a NaN or an infinite count
@@ -189,18 +188,19 @@ class RecordSet:
         return self.counts / (sum(self.shots) / len(self.shots))
 
 
-def sample_counts(rho: DensityMatrix, shots: int, seeds) -> RecordSet:
+def sample_counts(rho: DensityMatrix, shots: int, rngs) -> RecordSet:
     """The record set of ``NONTRIVIAL_SETTINGS``: row k is a multinomial draw
-    of ``shots`` from setting k's exact outcome distribution, made by the
-    generator of ``seeds[k]``, a sequence of 15; seed-deterministic."""
+    of ``shots`` from setting k's exact outcome distribution, made by
+    ``rngs[k]``, a list or tuple of 15 numpy Generators; seed-deterministic."""
     shots = _check_count(shots, "shots", 1)
-    if _shape(seeds) != (len(NONTRIVIAL_SETTINGS),):
-        raise ValueError(f"seeds must hold one seed per nontrivial setting (15), got {seeds!r:.80}")
+    listed = isinstance(rngs, (list, tuple)) and len(rngs) == len(NONTRIVIAL_SETTINGS)
+    if not listed or not all(isinstance(rng, np.random.Generator) for rng in rngs):
+        raise ValueError(f"rngs must hold one generator per nontrivial setting (15), got {rngs!r:.80}")
     table = _outcome_table(rho)
     # Drawn over the outcomes of nonzero p only: numpy's sequential binomials
     # can leave a remainder in a trailing p = 0 (824 at 2^63 - 1 shots).
     ok = table > 0.0
-    draws = [make_rng(seed).multinomial(shots, p[m]) for seed, p, m in zip(seeds, table, ok)]
+    draws = [rng.multinomial(shots, p[m]) for rng, p, m in zip(rngs, table, ok)]
     counts = np.zeros(table.shape, dtype=np.int64)
     counts[ok] = np.concatenate(draws)
     return RecordSet(counts, (shots,) * len(NONTRIVIAL_SETTINGS))

@@ -28,13 +28,13 @@ from photon_duality import (
     sample_counts,
     sample_fringe_scan,
     schmidt_decompose,
+    stream_rngs,
     to_density_matrix,
     vdc_triple,
     visibility,
     wootters_concurrence,
 )
 from photon_duality.scenarios import override_shots, reseed
-from photon_duality.seeding import make_rng
 from photon_duality.tomography import NONTRIVIAL_SETTINGS
 
 HALF = math.sqrt(0.5)
@@ -47,8 +47,8 @@ def check(num: int, name: str, ok: bool, detail: str = ""):
 
 
 def tomography_records(state, shots, master_seed):
-    seeds = [derive_seed(master_seed, k) for k in range(len(NONTRIVIAL_SETTINGS))]
-    return sample_counts(to_density_matrix(state), shots, seeds)
+    rngs = stream_rngs(master_seed, [(k,) for k in range(len(NONTRIVIAL_SETTINGS))])
+    return sample_counts(to_density_matrix(state), shots, rngs)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -156,7 +156,7 @@ def test_criterion_5_fringe_fidelity():
     worst_noisy = 0.0
     for i, sc in enumerate(default_scenarios()):
         state = sc.state
-        scan = sample_fringe_scan(state, 100_000, make_rng(derive_seed(55, i)))
+        scan = sample_fringe_scan(state, 100_000, np.random.default_rng(derive_seed(55, i)))
         v_hat, *_ = fit_fringe(scan)
         worst_noisy = max(worst_noisy, abs(v_hat - visibility(state)))
     check(

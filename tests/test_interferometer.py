@@ -225,6 +225,13 @@ class TestScanContract:
         with pytest.raises(ValueError, match="^phases must be strictly increasing$"):
             FringeScan(phase_grid(16)[order], np.full(16, 0.5), shots_per_point=0)
 
+    def test_empty_grid_rejected(self):
+        # An empty grid's SVD once met a bare IndexError reading sv[-1].
+        s = state_with_overlap(HALF, HALF, 0.5)
+        for call in (detection_probabilities, fringe_scan):
+            with pytest.raises(ValueError, match="^phases must hold at least one point$"):
+                call(s, [])
+
     def test_unordered_grid_still_evaluates(self):
         # The order is a scan's condition only; one-point grids are evaluated
         # in TestDetectionProbability.

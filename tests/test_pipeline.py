@@ -31,7 +31,7 @@ from photon_duality.pipeline import (
     emit_table,
 )
 from photon_duality.scenarios import MAX_SHOTS, MIN_SHOTS, override_shots, reseed
-from photon_duality.seeding import check_seed, derive_seed, make_rng
+from photon_duality.seeding import check_seed, derive_seed
 
 HALF = math.sqrt(0.5)
 
@@ -323,7 +323,7 @@ class TestPipeline:
         sc = make_scenario(state=TwoPathState(c_a, c_b, (1, 0), (0, 1)))
 
         def fraction(k, p):
-            return make_rng(derive_seed(sc.seed, STAGE_BLOCKING, k)).binomial(sc.shots, p) / sc.shots
+            return np.random.default_rng(derive_seed(sc.seed, STAGE_BLOCKING, k)).binomial(sc.shots, p) / sc.shots
 
         expected = abs(fraction(1, abs(c_a) ** 2) - fraction(0, abs(c_b) ** 2))
         assert abs(fraction(0, abs(c_a) ** 2) - fraction(1, abs(c_b) ** 2)) != expected

@@ -24,6 +24,7 @@ from photon_duality import (
     pure_state_fidelity,
     random_two_path_state,
     sample_counts,
+    stream_rngs,
     to_density_matrix,
     vdc_triple,
 )
@@ -31,7 +32,6 @@ from photon_duality import _kernels
 from photon_duality._kernels import _ULP_SLACK, P_FLOOR
 from photon_duality.pipeline import STAGE_TOMOGRAPHY
 from photon_duality.scenarios import DEFAULT_SHOTS, MAX_SHOTS, default_scenarios, reseed
-from photon_duality.seeding import make_rng
 from photon_duality.tomography import (
     NONTRIVIAL_SETTINGS,
     OUTCOMES,
@@ -217,13 +217,23 @@ def certified_gap(rho_mat, records):
     return (np.linalg.eigvalsh(grad)[-1] - np.trace(grad @ rho_mat).real) / counts.sum()
 
 
+def rngs(seeds):
+    """One fresh generator per seed."""
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
+def setting_rngs(seed):
+    """The pipeline's 15 tomography streams of scenario seed ``seed``."""
+    return stream_rngs(seed, [(STAGE_TOMOGRAPHY, k) for k in range(15)])
+
+
 def sampled_records(rho, shots, master_seed):
-    return sample_counts(rho, shots, [derive_seed(master_seed, k) for k in range(15)])
+    return sample_counts(rho, shots, rngs(derive_seed(master_seed, k) for k in range(15)))
 
 
 def sampled_row(rho, m, shots, seed):
     """The (4,) counts of setting ``m`` drawn from ``seed``."""
-    return sample_counts(rho, shots, [seed] * 15).counts[NONTRIVIAL_SETTINGS.index(m)]
+    return sample_counts(rho, shots, rngs([seed] * 15)).counts[NONTRIVIAL_SETTINGS.index(m)]
 
 
 ORACLE_INPUT_IDS = [sc.name for sc in default_scenarios()] + ["bell-like"]
@@ -235,9 +245,7 @@ def oracle_input(index):
     if index == 7:
         return sampled_records(to_density_matrix(bell_like_state()), 50_000, 13)
     sc = reseed(default_scenarios(), 42)[index]
-    rho_true = to_density_matrix(sc.state)
-    seeds = [derive_seed(sc.seed, STAGE_TOMOGRAPHY, k) for k in range(15)]
-    return sample_counts(rho_true, sc.shots, seeds)
+    return sample_counts(to_density_matrix(sc.state), sc.shots, setting_rngs(sc.seed))
 
 
 class TestSettings:
@@ -343,8 +351,7 @@ class TestSampleCounts:
         # of 2^63 - 1 shots in IZ's (-1, -1), whose projector is zero.
         sc = next(sc for sc in reseed(default_scenarios(), 42) if sc.name == "default-arc-g0.92")
         rho = to_density_matrix(sc.state)
-        seeds = [derive_seed(sc.seed, STAGE_TOMOGRAPHY, k) for k in range(15)]
-        counts = sample_counts(rho, MAX_SHOTS, seeds).counts
+        counts = sample_counts(rho, MAX_SHOTS, setting_rngs(sc.seed)).counts
         assert not counts[_outcome_table(rho) == 0.0].any()
         assert np.all(counts.sum(axis=1) == MAX_SHOTS)
 
@@ -376,7 +383,7 @@ class TestSampleCounts:
         for i in range(20):
             rho = to_density_matrix(random_two_path_state(rng))
             seeds = [derive_seed(shots, i, k) for k in range(15)]
-            records = sample_counts(rho, shots, seeds)
+            records = sample_counts(rho, shots, rngs(seeds))
             assert records.counts.shape == (15, 4)
             table = _outcome_table(rho)
             for k, m in enumerate(NONTRIVIAL_SETTINGS):
@@ -385,7 +392,7 @@ class TestSampleCounts:
                 p = p / p.sum()
                 assert np.array_equal(table[k], p)
                 assert np.array_equal(exact_record(rho, m).counts, DEFAULT_SHOTS * table[k])
-                expected = make_rng(seeds[k]).multinomial(shots, p)
+                expected = np.random.default_rng(seeds[k]).multinomial(shots, p)
                 assert np.array_equal(records.counts[k], expected)
                 assert records.shots[k] == shots
 
@@ -394,25 +401,35 @@ class TestSampleCounts:
             assert abs(float(counts @ SIGNS) / 100_000) < 5 / math.sqrt(100_000)
 
     @pytest.mark.parametrize(
-        "seeds",
-        [list(range(14)), None, 7, iter(range(15)), [[1], [1, 2]], [[1], [1, 2], *range(13)]],
-        ids=["14", "none", "int", "iterator", "ragged", "ragged-15"],
+        "bad",
+        [
+            rngs(range(14)),
+            None,
+            7,
+            iter(rngs(range(15))),
+            [rngs([1]), rngs([1, 2])],
+            [rngs([1]), rngs([1, 2]), *rngs(range(13))],
+            list(range(15)),
+        ],
+        ids=["14", "none", "int", "iterator", "ragged", "ragged-15", "int-seeds"],
     )
-    def test_one_seed_per_setting_required(self, seeds):
+    def test_one_seed_per_setting_required(self, bad):
         # None, an int or an iterator once raised TypeError from len(), and a
-        # ragged list numpy's bare "inhomogeneous shape" ValueError.
-        with pytest.raises(ValueError, match="seeds must hold one seed per nontrivial setting"):
-            sample_counts(MIXED, 100, seeds)
+        # ragged list numpy's bare "inhomogeneous shape" ValueError; seeds
+        # are no longer taken, the caller derives each setting's generator.
+        with pytest.raises(ValueError, match="rngs must hold one generator per nontrivial setting"):
+            sample_counts(MIXED, 100, bad)
 
     def test_out_of_range_seed_rejected(self):
+        # The seed is checked where the streams are derived.
         with pytest.raises(ValueError, match="seed must be in"):
-            sample_counts(MIXED, 100, [0] * 14 + [2**64])
+            stream_rngs(2**64, [(STAGE_TOMOGRAPHY, k) for k in range(15)])
 
     @pytest.mark.parametrize("shots", [1.9, 100.0, math.nan, True, "100", 0, -5])
     def test_shots_must_be_a_positive_int(self, shots):
         # numpy truncates a float n, so 1.9 once drew one shot per setting.
         with pytest.raises(ValueError, match="shots must be an integer >= 1"):
-            sample_counts(MIXED, shots, list(range(15)))
+            sample_counts(MIXED, shots, rngs(range(15)))
 
     @pytest.mark.parametrize("shots", [1.5, 100.0, math.nan, True, 0])
     def test_count_record_shots_must_be_a_positive_int(self, shots):
@@ -423,7 +440,7 @@ class TestSampleCounts:
             mle_reconstruct(recs)
 
     def test_numpy_integer_shots_accepted(self):
-        records = sample_counts(MIXED, np.int64(100), list(range(15)))
+        records = sample_counts(MIXED, np.int64(100), rngs(range(15)))
         assert records.shots == (100,) * 15
 
     def test_exact_record_is_the_expected_counts_at_default_shots(self):
@@ -498,6 +515,11 @@ class TestRecordSet:
     def test_rejects_bad_counts(self, counts, message):
         with pytest.raises(ValueError, match=message):
             RecordSet(counts, (100,) * 15)
+
+    def test_ragged_record_set_rejected(self):
+        # numpy's bare "inhomogeneous shape" error once named no counts.
+        with pytest.raises(ValueError, match=r"^counts must be a numeric \(15, 4\) array"):
+            RecordSet([[1], [1, 2]], (1,) * 15)
 
     @pytest.mark.parametrize("bad", [True, 100.0, math.nan, 0])
     def test_rejects_bad_shots(self, bad):
@@ -750,7 +772,7 @@ class TestMLE:
         # short of the optimum that the likelihood acceptance targets.
         rho = to_density_matrix(random_two_path_state(np.random.default_rng(5)))
         seeds = [100 + k for k in range(15)]
-        low, high = sample_counts(rho, 500, seeds), sample_counts(rho, 50_000, seeds)
+        low, high = sample_counts(rho, 500, rngs(seeds)), sample_counts(rho, 50_000, rngs(seeds))
         odd = np.arange(15) % 2 == 1
         recs = RecordSet(
             np.where(odd[:, None], low.counts, high.counts),
@@ -816,9 +838,7 @@ class TestCertifiedStop:
         # 0.015 nats is reached sooner on the same path.
         looser = tighter = 0
         for sc in reseed(default_scenarios(), 42):
-            rho_true = to_density_matrix(sc.state)
-            seeds = [derive_seed(sc.seed, STAGE_TOMOGRAPHY, k) for k in range(15)]
-            recs = sample_counts(rho_true, 4000, seeds)
+            recs = sample_counts(to_density_matrix(sc.state), 4000, setting_rngs(sc.seed))
             result = mle_reconstruct(recs)
             _, iterations, _, _, converged = kernel_run(recs, 2000, 1e-8)
             assert converged
@@ -969,9 +989,8 @@ def sweep_input(d, shots):
     """Default d's record set at ``shots`` on the criterion-7 grid point of
     master 7000 + d: scenario seed ``derive_seed(7000 + d, d)``, setting k's
     counts from ``derive_seed(seed, STAGE_TOMOGRAPHY, k)``."""
-    seed = derive_seed(7000 + d, d)
     rho = to_density_matrix(default_scenarios()[d].state)
-    return sample_counts(rho, shots, [derive_seed(seed, STAGE_TOMOGRAPHY, k) for k in range(15)])
+    return sample_counts(rho, shots, setting_rngs(derive_seed(7000 + d, d)))
 
 
 def sparse_records(seed):
