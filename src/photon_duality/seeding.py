@@ -11,7 +11,8 @@ once, and the rest runs for all keys at once as 64-bit lanes of one Python int.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
+from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -52,17 +53,16 @@ def derive_seed(master: int, *key: int) -> int:
 def stream_rngs(master: int, keys) -> list[np.random.Generator]:
     """``[np.random.default_rng(derive_seed(master, *key)) for key in keys]``,
     bit for bit, in one pass; a key is a tuple of ints in [0, 2**32), one word each."""
-    keys = [_check_key(key, stream=True) for key in keys]
-    ones = (1 << 64 * len(keys)) // ((1 << 64) - 1)  # 1 in each 64-bit lane; lane i is key i's
-    m = _M32 * ones
+    keys = tuple(keys)  # keys of plain ints in range pass at once; the rest take the full check
+    flat = list(chain.from_iterable(keys)) if set(map(type, keys)) <= {tuple} else [None]
+    if set(map(type, flat)) - {int} or flat and not 0 <= min(flat) <= max(flat) <= _M32:
+        keys = tuple(_check_key(key, stream=True) for key in keys)
+    ones, m, lanes = _key_lanes(keys)
     # A key's entropy starts with the master's words zero-padded to 4, and SeedSequence(master)
     # hashes 0 for its missing words: its pool, 16 hashes in, is every key's start.
     pool = [int(p) * ones for p in np.random.SeedSequence(check_seed(master)).pool]
-    hc = [_A[0] * _A[1] ** 16 & _M32, _A[1]]
-    for j in range(max(map(len, keys), default=0)):  # word j, in the lanes of keys that have one
-        word = sum(k[j] << 64 * i for i, k in enumerate(keys) if len(k) > j)
-        live = sum(_M32 << 64 * i for i, k in enumerate(keys) if len(k) > j)
-        pool = [_mix(p, _hash(word, hc, ones, m), m) & live | p & ~live for p in pool]
+    for live, dead, hashes in lanes:
+        pool = [_mix(p, h, m) & live | p & dead for p, h in zip(pool, hashes)]
     hc = list(_B)  # derive_seed's generate_state(1, uint64): each key's seed
     seed = [_hash(p, hc, ones, m) for p in pool[:2]]
     hc = list(_A)  # the SeedSequence pool of default_rng(seed)
@@ -74,6 +74,20 @@ def stream_rngs(master: int, keys) -> list[np.random.Generator]:
     raw = b"".join((w[i] | w[i + 1] << 32).to_bytes(8 * len(keys), "little") for i in (0, 2, 4, 6))
     words = np.frombuffer(raw, np.uint64).reshape(4, -1).T.copy()  # key i's words: row i
     return [np.random.Generator(np.random.PCG64(_seed_words()(row))) for row in words]
+
+
+@lru_cache(maxsize=8)
+def _key_lanes(keys: tuple[tuple[int, ...], ...]) -> tuple:
+    """``ones`` (1 in each 64-bit lane, lane i key i's), the lane mask and, per word j, the lanes of
+    keys with one, the rest and j's 4 pool hashes; ``keys`` come checked, as (2, True) == (2, 1)."""
+    ones = (1 << 64 * len(keys)) // ((1 << 64) - 1)
+    m = _M32 * ones
+    hc, lanes = [_A[0] * _A[1] ** 16 & _M32, _A[1]], []
+    for j in range(max(map(len, keys), default=0)):
+        word = sum(k[j] << 64 * i for i, k in enumerate(keys) if len(k) > j)
+        live = sum(_M32 << 64 * i for i, k in enumerate(keys) if len(k) > j)
+        lanes.append((live, ~live, tuple(_hash(word, hc, ones, m) for _ in range(4))))
+    return ones, m, tuple(lanes)
 
 
 def _hash(v: int, hc: list[int], ones: int, m: int) -> int:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
+
 # Constructors reject inputs beyond this; no silent renormalization.
 NORM_ATOL = 1e-9
 # Consistency of derived quantities (Hermiticity, traces).
@@ -196,7 +198,7 @@ class DensityMatrix:
         trace_err = abs(trace.real - 1.0) + abs(trace.imag)
         if trace_err > MATRIX_ATOL:
             raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
-        if float(np.linalg.eigvalsh(mat)[0]) < -PSD_ATOL:
+        if float(_kernels._eigvalsh(mat)[0]) < -PSD_ATOL:
             raise ValueError(f"density matrix has eigenvalues below -{PSD_ATOL} (not physical)")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -231,7 +233,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
         raise ValueError(
             f"Wootters concurrence needs a 4 x 4 matrix (d = 2), got {rho.matrix.shape}"
         )
-    evals, vecs = np.linalg.eigh(rho.matrix)
+    evals, vecs = _kernels._eigh(rho.matrix)
     factor = vecs * np.sqrt(np.maximum(evals, 0.0))
     roots = np.linalg.svd(factor.conj().T @ _YY @ factor.conj(), compute_uv=False)
     return min(1.0, max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3])))

@@ -103,6 +103,14 @@ def _projector_stack() -> np.ndarray:
     return stack
 
 
+@cache
+def _zero_projectors() -> np.ndarray:
+    """(15, 4) mask of the outcomes whose projector is zero, ordered as ``_outcome_table``'s."""
+    mask = ~_projector_stack().any(axis=(1, 2)).reshape(len(NONTRIVIAL_SETTINGS), len(OUTCOMES))
+    mask.setflags(write=False)
+    return mask
+
+
 def _require_two_qubits(rho: DensityMatrix) -> None:
     if rho.matrix.shape[0] != 4:
         raise ValueError(
@@ -164,7 +172,7 @@ class RecordSet:
             raise ValueError("counts must be finite")
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")
-        k, j = np.nonzero(~_projector_stack().any(axis=(1, 2)).reshape(shape) & (counts != 0))
+        k, j = np.nonzero(_zero_projectors() & (counts != 0))
         if k.size:
             m, o = NONTRIVIAL_SETTINGS[k[0]].label(), OUTCOMES[j[0]]
             raise ValueError(f"setting {m} has counts in outcome {o}, whose projector is zero")

@@ -83,6 +83,12 @@ class TestKeyValidation:
         with pytest.raises(ValueError, match="must hold integers"):
             stream_rngs(1, [key])
 
+    def test_a_cached_key_tuple_is_still_checked(self):
+        # (2, True) hashes and compares equal to (2, 1), whose lanes are cached.
+        stream_rngs(1, [(0,), (2, 1)])
+        with pytest.raises(ValueError, match="must hold integers"):
+            stream_rngs(1, [(0,), (2, True)])
+
     def test_derive_seed_keeps_wide_and_empty_keys(self):
         assert derive_seed(1, 2**40) == int(
             np.random.SeedSequence(1, spawn_key=(2**40,)).generate_state(1, np.uint64)[0]

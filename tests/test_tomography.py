@@ -677,13 +677,13 @@ class TestMLE:
         # (an eigh each, after the start's one); budgets of at most 3 keep
         # the plain path.
         calls = []
-        eigh = np.linalg.eigh
+        eigh = _kernels._eigh
 
         def spy(a):
             calls.append(a)
             return eigh(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(_kernels, "_eigh", spy)
         recs = sampled_records(to_density_matrix(bell_like_state()), 20_000, 12)
         result = mle_reconstruct(recs, max_iter=max_iter, tol=0.0)
         assert (result.iterations, len(calls)) == (max_iter, 1 + steps)
@@ -1160,6 +1160,61 @@ class TestSimplexThreshold:
             simplex_eigh_sorted(a)
         lam, _ = _kernels._simplex_eigh(a)
         assert np.all(np.isfinite(lam)) and np.all(lam >= 0.0)
+
+
+def hermitian_cases():
+    """Complex Hermitian matrices of n = 1 to 4: random ones, degenerate
+    spectra (projectors, multiples of I, paired eigenvalues, zero), and the
+    1 x 1 to 3 x 3 spans v^H R v that the kernel's zeroed-direction test
+    builds from the eigenvectors of a 4 x 4 matrix."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for n in range(1, 5):
+        for i in range(40):
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = (z + z.conj().T) * 10.0 ** rng.uniform(-6, 6)
+            if i % 2:  # repeated eigenvalues
+                w, vecs = np.linalg.eigh(a)
+                a = (vecs * np.round(w)) @ vecs.conj().T
+            cases.append(a)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cases += [np.zeros((n, n), complex), np.eye(n, dtype=complex) * 0.25, np.outer(v, v.conj())]
+    for k in range(1, 4):
+        for _ in range(40):
+            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            _, vecs = np.linalg.eigh(random_rho(rng, 4 - k))
+            zeroed = vecs[:, :k]
+            cases.append(zeroed.conj().T @ (z + z.conj().T) @ zeroed)
+    return cases
+
+
+class TestHermitianEigensolvers:
+    def test_match_numpy_bit_for_bit(self):
+        for a in hermitian_cases():
+            for mat in (a, a.T):  # a contiguous matrix and a strided view
+                (w, vecs), (ref_w, ref_vecs) = _kernels._eigh(mat), np.linalg.eigh(mat)
+                assert (w.dtype, vecs.dtype) == (ref_w.dtype, ref_vecs.dtype) == (float, complex)
+                assert np.array_equal(w, ref_w) and np.array_equal(vecs, ref_vecs)
+                vals, ref_vals = _kernels._eigvalsh(mat), np.linalg.eigvalsh(mat)
+                assert vals.dtype == ref_vals.dtype == np.float64
+                assert np.array_equal(vals, ref_vals)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.full((4, 4), np.nan + 0j),
+            np.diag([1.0, np.nan, 2.0, 3.0]) + 0j,
+            np.full((1, 1), np.nan + 0j),
+        ],
+        ids=["all-nan", "one-nan", "1x1"],
+    )
+    def test_a_nan_result_raises(self, a):
+        # np.linalg returns some of these NaN results without raising.
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                _kernels._eigh(a)
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                _kernels._eigvalsh(a)
 
 
 class TestEstimateFromRho:
